@@ -27,12 +27,17 @@ from .serialize import (
     trace_expression_to_json,
 )
 from .trace import format_trace_expression, ibp_reduce, trace, trace_equal
-from .verify import run_verification
+from .verify import run_verification, worst_reduction_gap
 from .wres import wres_inverse_power
 
 
 def default_seed() -> int:
     return int(os.environ.get("NCWRES_SEED", "0"))
+
+
+def _bad_input(message: str) -> int:
+    print(f"ncwres: {message}", file=sys.stderr)
+    return 2
 
 
 def build_spec(args) -> OperatorSpec:
@@ -50,8 +55,7 @@ def build_spec(args) -> OperatorSpec:
             flat=args.flat,
         )
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"ncwres: invalid operator configuration: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_bad_input(f"invalid operator configuration: {exc}"))
 
 
 def _add_operator_flags(sub: argparse.ArgumentParser):
@@ -138,8 +142,7 @@ def cmd_parametrix(args) -> int:
     spec = build_spec(args)
     order = spec.d - 2 if args.order is None else args.order
     if order < 0:
-        print("ncwres: --order must be nonnegative", file=sys.stderr)
-        return 2
+        return _bad_input("--order must be nonnegative")
     res = parametrix_terms(laplace_symbol(spec), order)
     if args.format == "json":
         payload = {
@@ -160,6 +163,10 @@ def cmd_parametrix(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
+    try:
+        OperatorSpec(d=args.d)
+    except ValueError as exc:
+        return _bad_input(f"invalid --d {args.d}: {exc}")
     t0 = time.perf_counter()
     report = run_verification(
         d=args.d, seed=seed, inject_sphere_fault=args.inject_sphere_fault
@@ -199,13 +206,7 @@ def _oracle_battery(asg, d: int) -> list[dict]:
         trace(alg.hinv() * alg.h() * alg.x()) - trace(alg.x()),
         trace(alg.h().derive(1) * alg.h()) - trace(alg.h() * alg.h().derive(1)),
     ]
-    worst = 0.0
-    for e in exprs:
-        red = ibp_reduce(e)
-        worst = max(
-            worst,
-            abs(asg.evaluate_trace_expression(e) - asg.evaluate_trace_expression(red)),
-        )
+    worst = worst_reduction_gap(asg, exprs)
     checks.append(
         {
             "name": "reduced-identities",
@@ -236,17 +237,23 @@ def _oracle_battery(asg, d: int) -> list[dict]:
 
 def cmd_oracle_check(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
-    if args.oracle_assignment:
-        with open(args.oracle_assignment) as fh:
-            asg = assignment_from_json(json.load(fh))
-        d = asg.d
-    else:
-        d = args.d
-        asg = random_assignment(d, seed)
-    checks = _oracle_battery(asg, d)
+    try:
+        if args.oracle_assignment:
+            with open(args.oracle_assignment) as fh:
+                asg = assignment_from_json(json.load(fh))
+        else:
+            asg = random_assignment(args.d, seed)
+        if asg.d < 2:
+            raise ValueError("dimension must be at least 2")
+        asg.h_inverse()  # an h outside the Neumann radius fails here
+    except KeyError as exc:
+        return _bad_input(f"invalid oracle assignment: missing key {exc}")
+    except (ValueError, TypeError, OSError) as exc:
+        return _bad_input(f"invalid oracle assignment: {exc}")
+    checks = _oracle_battery(asg, asg.d)
     passed = all(c["passed"] for c in checks)
     if args.format == "json":
-        print(json.dumps({"seed": seed, "d": d, "checks": checks, "passed": passed}, indent=2))
+        print(json.dumps({"seed": seed, "d": asg.d, "checks": checks, "passed": passed}, indent=2))
     else:
         for check in checks:
             mark = "PASS" if check["passed"] else "FAIL"

@@ -31,6 +31,7 @@ from .symcalc import (
     Symbol,
     XiMonomial,
     _gamma_factorial,
+    compose,
     multi_indices,
     symbol_product,
 )
@@ -127,14 +128,13 @@ class ParametrixResult:
 def parametrix_terms(a: Symbol, n: int, side: str = "left") -> ParametrixResult:
     """Terms b_0 .. b_n of the parametrix, plus the composition defect.
 
-    For the left parametrix, degree -2-m of B # A vanishing gives
+    For the left parametrix, degree -m of B # A vanishing gives
 
-        b_m = -[ sum_{j<m, i, |gamma| = m-j+i-2 >= 0}
-                 (1/gamma!) d_xi^gamma(b_j) . delta^gamma(a_i) ] . b_0,
+        b_m = -band_{-m}( (b_0 + ... + b_{m-1}) # a ) . b_0,
 
-    and the right parametrix mirrors the factors.  The defect is the
-    composition minus 1, truncated at degree -n, and is identically zero
-    there when the recursion is correct.
+    with the degree -m band taken by ``compose``; the right parametrix
+    mirrors the factors.  The defect is the composition minus 1, truncated
+    at degree -n, and is identically zero there when the recursion is correct.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -142,31 +142,14 @@ def parametrix_terms(a: Symbol, n: int, side: str = "left") -> ParametrixResult:
         raise ValueError("need at least the leading term")
     d = a.d
     b0 = invert_leading(a)
-    parts = {i: a.homogeneous_part(i) for i in (0, 1, 2)}
     bs = [b0]
+    total = b0
     for m in range(1, n + 1):
-        acc = Symbol.zero(d)
-        for j in range(m):
-            for i in (0, 1, 2):
-                g = m - j + i - 2
-                if g < 0 or parts[i].is_zero():
-                    continue
-                for gamma in multi_indices(d, g):
-                    inv = Scalar(Fraction(1, _gamma_factorial(gamma)))
-                    if side == "left":
-                        piece = _apply_gamma(bs[j], gamma, xi_side=True).pointwise_mul(
-                            _apply_gamma(parts[i], gamma, xi_side=False)
-                        )
-                    else:
-                        piece = _apply_gamma(
-                            parts[i], gamma, xi_side=True
-                        ).pointwise_mul(_apply_gamma(bs[j], gamma, xi_side=False))
-                    acc = acc + piece.scale(inv)
-        bs.append(
-            -(acc.pointwise_mul(b0)) if side == "left" else -(b0.pointwise_mul(acc))
-        )
-    total = Symbol.zero(d)
-    for b in bs:
+        if side == "left":
+            b = -(compose(total, a, -m, -m).pointwise_mul(b0))
+        else:
+            b = -(b0.pointwise_mul(compose(a, total, -m, -m)))
+        bs.append(b)
         total = total + b
     if side == "left":
         defect = symbol_product(total, a, -n) - Symbol.one(d)

@@ -150,6 +150,9 @@ def assignment_to_json(asg: Assignment) -> dict:
 
 def assignment_from_json(obj: dict) -> Assignment:
     theta = ThetaMatrix(obj["theta"])
+    missing = {"h", "X", *(f"T{a}" for a in range(1, theta.d + 1))} - set(obj["atoms"])
+    if missing:
+        raise ValueError(f"assignment lacks atoms {sorted(missing)}")
     atoms = {
         _atom_internal_key(name): _element_from_json(sub, theta)
         for name, sub in obj["atoms"].items()

@@ -16,8 +16,9 @@ dropping total degree by exactly one.  The composition product expands
 
     P # Q = sum_gamma (1/gamma!) (d_xi^gamma P) . (delta^gamma Q)
 
-with the coefficients of P kept to the left, truncated below a requested
-degree; the gamma sum is finite once the truncation is fixed.
+with the coefficients of P kept to the left.  ``compose`` is its one
+implementation: it returns a band of degrees lo..hi, and pruning what can
+no longer reach the band also ends the gamma sum.
 """
 
 from __future__ import annotations
@@ -154,19 +155,26 @@ class Symbol:
                 _acc(out, up, coef.scale(2 * mono.m))
         return Symbol(self.d, out)
 
-    def pointwise_mul(self, other: "Symbol", min_degree: int | None = None) -> "Symbol":
+    def pointwise_mul(
+        self,
+        other: "Symbol",
+        min_degree: int | None = None,
+        max_degree: int | None = None,
+    ) -> "Symbol":
         """Product at a frozen xi: coefficients multiply in order, xi
-        exponents add.  Pairs landing below min_degree are skipped before
-        their coefficients are multiplied."""
+        exponents add.  Pairs landing below min_degree or above max_degree
+        are skipped before their coefficients are multiplied."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
         out: dict[XiMonomial, NCPoly] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                if min_degree is not None and mono.degree < min_degree:
+                deg = m1.degree + m2.degree
+                if min_degree is not None and deg < min_degree:
                     continue
-                _acc(out, mono, c1 * c2)
+                if max_degree is not None and deg > max_degree:
+                    continue
+                _acc(out, m1 * m2, c1 * c2)
         return Symbol(self.d, out)
 
     def degrees(self) -> list[int]:
@@ -225,47 +233,48 @@ def _gamma_factorial(gamma: tuple[int, ...]) -> int:
     return out
 
 
-def symbol_product(p: Symbol, q: Symbol, min_degree: int) -> Symbol:
-    """Composition product truncated to degrees >= min_degree.
+def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
+    """Degrees lo..hi of the composition P # Q (no upper cut when hi is None).
 
-    Each xi-derivative drops the degree of the gamma term by one, so only
-    |gamma| <= maxdeg(p) + maxdeg(q) - min_degree contributes above the cut.
+    At level |gamma| = g, p-monomials below lo - maxdeg(q) and q-monomials
+    below lo - maxdeg(p) + g can no longer reach the band (d_xi lowers the
+    degree by one, delta keeps it), so both are dropped before deriving.
     """
     if p.d != q.d:
         raise ValueError("dimension mismatch")
     d = p.d
     if p.is_zero() or q.is_zero():
         return Symbol.zero(d)
-    gamma_max = p.max_degree() + q.max_degree() - min_degree
+    p_floor = lo - q.max_degree()
+    q_floor = lo - p.max_degree()
     acc: dict[XiMonomial, NCPoly] = {}
-    # build d_xi^gamma(p) and delta^gamma(q) incrementally, one level at a time
-    p_level: dict[tuple[int, ...], Symbol] = {(0,) * d: p}
-    q_level: dict[tuple[int, ...], Symbol] = {(0,) * d: q}
-    for size in range(gamma_max + 1):
-        if size > 0:
-            p_next: dict[tuple[int, ...], Symbol] = {}
-            q_next: dict[tuple[int, ...], Symbol] = {}
-            for gamma in multi_indices(d, size):
-                axis = next(i + 1 for i, g in enumerate(gamma) if g)
-                parent = tuple(
-                    g - 1 if i == axis - 1 else g for i, g in enumerate(gamma)
-                )
-                if parent not in p_level:
-                    continue  # an ancestor already had zero xi-derivative
-                dp = p_level[parent].partial_xi(axis)
-                if dp.is_zero():
-                    continue
-                p_next[gamma] = dp
-                q_next[gamma] = q_level[parent].derive(axis)
-            p_level, q_level = p_next, q_next
-            if not p_level:
-                break
-        for gamma, dp in sorted(p_level.items()):
+    # (d_xi^gamma p, delta^gamma q) for the live gammas of one level
+    level = {(0,) * d: (p.truncate_below(p_floor), q.truncate_below(q_floor))}
+    g = 0
+    while level:
+        for gamma, (dp, dq) in sorted(level.items()):
             inv = Scalar(Fraction(1, _gamma_factorial(gamma)))
-            piece = dp.pointwise_mul(q_level[gamma], min_degree=min_degree)
+            piece = dp.pointwise_mul(dq, lo, hi)
             for mono, coef in piece.terms.items():
                 _acc(acc, mono, coef if inv.q == 1 else coef.scale(inv))
+        g += 1
+        nxt: dict[tuple[int, ...], tuple[Symbol, Symbol]] = {}
+        for gamma in multi_indices(d, g):
+            axis = next(i + 1 for i, k in enumerate(gamma) if k)
+            parent = tuple(k - 1 if i == axis - 1 else k for i, k in enumerate(gamma))
+            if parent not in level:
+                continue  # nothing of this branch can reach the band
+            dp = level[parent][0].partial_xi(axis).truncate_below(p_floor)
+            dq = level[parent][1].truncate_below(q_floor + g).derive(axis)
+            if not (dp.is_zero() or dq.is_zero()):
+                nxt[gamma] = (dp, dq)
+        level = nxt
     return Symbol(d, acc)
+
+
+def symbol_product(p: Symbol, q: Symbol, min_degree: int) -> Symbol:
+    """Composition product truncated to degrees >= min_degree."""
+    return compose(p, q, min_degree)
 
 
 def expand_norm(s: Symbol) -> Symbol:

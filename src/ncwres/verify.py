@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fourier_oracle import FourierElement, ThetaMatrix
+from .fourier_oracle import Assignment, FourierElement, ThetaMatrix
 from .ncalg import Algebra, Scalar
 from .parametrix import (
     OperatorSpec,
@@ -153,6 +153,14 @@ def _squared_power(table: SphereIntegralTable) -> dict:
     )
 
 
+def worst_reduction_gap(asg: Assignment, exprs: list[TraceExpression]) -> float:
+    """Largest oracle deviation between an expression and its ibp_reduce form."""
+    return max(
+        abs(asg.evaluate_trace_expression(e) - asg.evaluate_trace_expression(ibp_reduce(e)))
+        for e in exprs
+    )
+
+
 def _oracle_zero(d: int, seed: int) -> dict:
     asg = random_assignment(d, seed)
     alg = Algebra(d)
@@ -161,13 +169,7 @@ def _oracle_zero(d: int, seed: int) -> dict:
         trace((alg.h() * alg.t(1) * alg.h()).derive(min(2, d))),
         trace(alg.hinv() * alg.h() * alg.x()) - trace(alg.x()),
     ]
-    worst = 0.0
-    for e in exprs:
-        red = ibp_reduce(e)
-        diff = abs(
-            asg.evaluate_trace_expression(e) - asg.evaluate_trace_expression(red)
-        )
-        worst = max(worst, diff)
+    worst = worst_reduction_gap(asg, exprs)
     ok = worst < 1e-8
     return _check(
         "oracle-zero-certification",

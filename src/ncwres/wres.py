@@ -86,14 +86,15 @@ def wres_inverse_power(
 ) -> TraceExpression:
     """Residue of the inverse (power 1) or of higher inverse powers.
 
-    The parametrix is expanded to order n (default d-2, exactly enough to
-    reach degree -d), composed with itself power-1 times, and integrated.
-    Truncation at -d is safe: composition only lowers degree.
+    The parametrix is expanded to order n (default d - 2*power, the
+    deepest term any factor passes to degree -d), composed with itself
+    power-1 times, and integrated.  Truncation at -d is safe: composition
+    only lowers degree.
     """
     if power < 1:
         raise ValueError("power must be at least 1")
     d = spec.d
-    depth = d - 2 if n is None else n
+    depth = max(d - 2 * power, 0) if n is None else n
     total = parametrix_terms(laplace_symbol(spec), depth).total()
     s = total
     for _ in range(power - 1):

@@ -143,3 +143,75 @@ def test_spec_file_configures_operator(capsys, tmp_path):
         main(["wres", "--spec", str(bad)])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+ASSIGNMENT = "<assignment file>"
+
+
+def _edited_assignment(edit) -> str:
+    obj = assignment_to_json(random_assignment(2, 11))
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _skew_theta(obj):
+    obj["theta"][0][1] = obj["theta"][1][0] = 0.3
+
+
+def _wide_h(obj):
+    obj["atoms"]["h"]["coeffs"].append({"index": [1, 1], "re": 5.0, "im": 0.0})
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        pytest.param(["verify", "--d", "3"], None, id="verify-d3"),
+        pytest.param(["verify", "--d", "0"], None, id="verify-d0"),
+        pytest.param(["oracle-check", "--d", "0"], None, id="oracle-d0"),
+        pytest.param(["oracle-check", "--d", "1"], None, id="oracle-d1"),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            None,
+            id="assignment-missing-file",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            "{",
+            id="assignment-bad-json",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.pop("theta")),
+            id="assignment-missing-key",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj["atoms"].pop("T2")),
+            id="assignment-missing-atom",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(_skew_theta),
+            id="assignment-skew-theta",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(_wide_h),
+            id="assignment-outside-neumann-radius",
+        ),
+    ],
+)
+def test_bad_input_exits_two_with_one_line(capsys, tmp_path, argv, content):
+    path = tmp_path / "assignment.json"
+    if content is not None:
+        path.write_text(content)
+    argv = [str(path) if arg == ASSIGNMENT else arg for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ncwres: ")
+    assert captured.err.count("\n") == 1

@@ -1,14 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncwres import randgen
 from ncwres.ncalg import Algebra, NCPoly, Scalar
+from ncwres.parametrix import OperatorSpec, laplace_symbol, parametrix_terms
 from ncwres.symcalc import (
     Symbol,
     XiMonomial,
+    compose,
     format_xi_monomial,
     multi_indices,
     symbol_product,
@@ -205,3 +209,34 @@ def test_partial_xi_commutes(p, a, b):
 def test_format_xi_monomial():
     assert format_xi_monomial(xi_mono((2, 1), -3)) == "xi1^2.xi2.|xi|^-6"
     assert format_xi_monomial(xi_mono((0, 0))) == "1"
+
+
+# -- banded kernel ---------------------------------------------------------
+
+
+def _mixed_symbol(rng, top):
+    return randgen.random_symbol(D, rng, top) + randgen.random_symbol(D, rng, top - 2)
+
+
+def _at_most(s, hi):
+    return Symbol(s.d, {mo: c for mo, c in s.terms.items() if mo.degree <= hi})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_band_is_restricted_product(seed):
+    rng = np.random.default_rng(seed)
+    p, q = _mixed_symbol(rng, 1), _mixed_symbol(rng, 0)
+    lo = -3
+    for left, right in ((p, q), (q, p)):
+        full = symbol_product(left, right, lo)
+        assert compose(left, right, lo, lo - 1).is_zero()
+        for hi in (lo, lo + 1):
+            assert compose(left, right, lo, hi) == _at_most(full, hi)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_parametrix_order_three_defect_vanishes(side):
+    spec = OperatorSpec(d=4, include_t=True, include_x=True)
+    res = parametrix_terms(laplace_symbol(spec), 3, side)
+    assert len(res.terms) == 4
+    assert res.defect.is_zero()

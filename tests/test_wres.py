@@ -168,3 +168,13 @@ def test_probe_detects_corrupted_moments():
     table.override((2, 0, 0, 0), PI2(1))
     _, _, ok = trace_property_probe(p, q, table)
     assert not ok
+
+
+@pytest.mark.parametrize("d, power", [(4, 2), (6, 3)])
+def test_default_depth_reaches_degree_minus_d(d, power):
+    # each factor of the inverse power only needs terms down to degree
+    # -2-(d-2*power); one more term must not change the residue
+    spec = OperatorSpec(d=d, include_t=True)
+    got = wres_inverse_power(spec, power=power)
+    assert not got.is_zero()
+    assert got == wres_inverse_power(spec, power=power, n=d - 2 * power + 1)
