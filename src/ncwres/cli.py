@@ -17,18 +17,19 @@ import os
 import sys
 import time
 
-from .fourier_oracle import FourierElement
 from .ncalg import Algebra
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_terms
-from .randgen import random_assignment
 from .serialize import (
     assignment_from_json,
     symbol_to_json,
     trace_expression_to_json,
 )
 from .trace import format_trace_expression, ibp_reduce, trace, trace_equal
-from .verify import run_verification, worst_reduction_gap
 from .wres import wres_inverse_power
+
+# the numeric modules (fourier_oracle, randgen, verify) pull in numpy,
+# which would more than double the start-up of the symbolic subcommands;
+# verify and oracle-check import them when they run
 
 
 def default_seed() -> int:
@@ -162,6 +163,8 @@ def cmd_parametrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
+
     seed = args.seed if args.seed is not None else default_seed()
     try:
         OperatorSpec(d=args.d)
@@ -187,6 +190,9 @@ def cmd_verify(args) -> int:
 
 
 def _oracle_battery(asg, d: int) -> list[dict]:
+    from .fourier_oracle import FourierElement
+    from .verify import worst_reduction_gap
+
     alg = Algebra(d)
     checks = []
 
@@ -236,6 +242,8 @@ def _oracle_battery(asg, d: int) -> list[dict]:
 
 
 def cmd_oracle_check(args) -> int:
+    from .randgen import random_assignment
+
     seed = args.seed if args.seed is not None else default_seed()
     try:
         if args.oracle_assignment:

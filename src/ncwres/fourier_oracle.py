@@ -8,6 +8,17 @@ where the ordered monomials multiply by the twisted convolution rule
     U^alpha U^beta = exp(2 pi i sum_{j>k} theta_jk alpha_j beta_k)
                      U^(alpha+beta).
 
+The product is one numpy kernel over all mode pairs: the phases of a
+block of pairs are exp(2 pi i (A L) B^T) with L the strict lower
+triangle of theta, and alpha + beta is found by adding the two sides'
+indices linearized in one shared mixed radix, so that equal output
+modes are summed by a unique/bincount pass.  Pairs are processed in
+blocks of at most BLOCK_PAIRS and the blocks merged by one more such
+pass, so the working arrays stay small whatever the operand sizes;
+materializing every pair at once holds several arrays of
+len(a) * len(b) entries, which raises the peak memory of an oracle run
+by several megabytes.
+
 The trace reads off the zero mode, derivations scale mode alpha by
 alpha_a, and the adjoint is
 
@@ -46,9 +57,10 @@ class ThetaMatrix:
             raise ValueError("theta must be antisymmetric modulo 1")
         self.mat = m
         self.d = m.shape[0]
-        # strictly lower triangle: only j > k pairs enter phases; kept as
-        # plain tuples because the product loop calls this per coefficient
-        # pair and numpy dispatch would dominate the runtime
+        # strictly lower triangle: only j > k pairs enter phases.  The
+        # product kernel takes it as a matrix; the scalar phase, called
+        # once per mode by the adjoint, reads it as plain tuples
+        self.lower = np.tril(m, -1)
         self._lower = tuple(tuple(m[j, :j]) for j in range(self.d))
 
     @classmethod
@@ -67,6 +79,35 @@ class ThetaMatrix:
 
 Index = tuple[int, ...]
 
+# mode pairs per block of the product kernel; bounds its working arrays
+BLOCK_PAIRS = 4096
+
+
+def _as_arrays(coeffs: dict[Index, complex]) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.array(list(coeffs), dtype=np.int64)
+    val = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+    return idx, val
+
+
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in ascending order, with the sum of their values."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    inv = inv.ravel()
+    re = np.bincount(inv, weights=vals.real, minlength=len(uniq))
+    im = np.bincount(inv, weights=vals.imag, minlength=len(uniq))
+    return uniq, re + 1j * im
+
+
+def _accumulate(out: dict[Index, complex], coeffs: dict[Index, complex], c: complex = 1.0):
+    """out += c * coeffs in place, dropping entries that cancel to zero."""
+    get = out.get
+    for idx, v in coeffs.items():
+        total = get(idx, 0.0) + v * c
+        if total:
+            out[idx] = total
+        else:
+            out.pop(idx, None)
+
 
 class FourierElement:
     """Finite twisted Fourier series over a fixed theta."""
@@ -82,6 +123,14 @@ class FourierElement:
                     self.coeffs[tuple(idx)] = complex(c)
 
     @classmethod
+    def _trusted(cls, theta: ThetaMatrix, coeffs: dict[Index, complex]) -> "FourierElement":
+        """Wrap a dict of tuple indices and nonzero complex values as is."""
+        el = cls.__new__(cls)
+        el.theta = theta
+        el.coeffs = coeffs
+        return el
+
+    @classmethod
     def one(cls, theta: ThetaMatrix) -> "FourierElement":
         return cls(theta, {(0,) * theta.d: 1.0})
 
@@ -90,45 +139,61 @@ class FourierElement:
         return cls(theta, {tuple(index): c})
 
     def copy(self) -> "FourierElement":
-        return FourierElement(self.theta, dict(self.coeffs))
+        return FourierElement._trusted(self.theta, dict(self.coeffs))
 
     def __add__(self, other: "FourierElement") -> "FourierElement":
         out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, 0.0) + c
-        return FourierElement(self.theta, out)
+        _accumulate(out, other.coeffs)
+        return FourierElement._trusted(self.theta, out)
 
     def __sub__(self, other: "FourierElement") -> "FourierElement":
         return self + other.scale(-1.0)
 
     def scale(self, c: complex) -> "FourierElement":
-        return FourierElement(self.theta, {i: v * c for i, v in self.coeffs.items()})
+        return FourierElement._trusted(
+            self.theta, {i: w for i, v in self.coeffs.items() if (w := v * c)}
+        )
 
     def __mul__(self, other: "FourierElement") -> "FourierElement":
-        out: dict[Index, complex] = {}
-        d = self.theta.d
-        lower = self.theta._lower
-        twopi = 2j * cmath.pi
-        exp = cmath.exp
-        get = out.get
-        for b, cb in other.coeffs.items():
-            # contract theta against b once per right-hand mode
-            lb = tuple(
-                sum(lower[j][k] * b[k] for k in range(j)) for j in range(d)
-            )
-            if any(lb):
-                for a, ca in self.coeffs.items():
-                    s = 0.0
-                    for j in range(1, d):
-                        if a[j]:
-                            s += a[j] * lb[j]
-                    idx = tuple(x + y for x, y in zip(a, b))
-                    out[idx] = get(idx, 0.0) + ca * cb * exp(twopi * s)
-            else:
-                for a, ca in self.coeffs.items():
-                    idx = tuple(x + y for x, y in zip(a, b))
-                    out[idx] = get(idx, 0.0) + ca * cb
-        return FourierElement(self.theta, out)
+        if not self.coeffs or not other.coeffs:
+            return FourierElement._trusted(self.theta, {})
+        a_idx, a_val = _as_arrays(self.coeffs)
+        b_idx, b_val = _as_arrays(other.coeffs)
+        # shared mixed radix: shifting each side by its own minimum puts
+        # alpha + beta at la + lb, and row-major strides make linear order
+        # the lexicographic order of the index tuples
+        a_lo, b_lo = a_idx.min(axis=0), b_idx.min(axis=0)
+        width = a_idx.max(axis=0) - a_lo + b_idx.max(axis=0) - b_lo + 1
+        strides = [1] * len(width)
+        for k in range(len(width) - 2, -1, -1):
+            strides[k] = strides[k + 1] * int(width[k + 1])
+        if strides[0] * int(width[0]) >= 2**62:
+            raise OverflowError("product modes exceed the int64 linear index")
+        strides = np.array(strides, dtype=np.int64)
+        la = (a_idx - a_lo) @ strides
+        lb = (b_idx - b_lo) @ strides
+        a_lower = a_idx @ self.theta.lower
+        rows = max(1, BLOCK_PAIRS // len(lb))
+        keys, vals = [], []
+        for r0 in range(0, len(la), rows):
+            r1 = r0 + rows
+            block = a_val[r0:r1, None] * b_val[None, :]
+            s = a_lower[r0:r1] @ b_idx.T
+            if s.any():
+                block *= np.exp(2j * np.pi * s)
+            k, v = _sum_by_key((la[r0:r1, None] + lb[None, :]).ravel(), block.ravel())
+            keys.append(k)
+            vals.append(v)
+        if len(keys) == 1:
+            k, v = keys[0], vals[0]
+        else:
+            k, v = _sum_by_key(np.concatenate(keys), np.concatenate(vals))
+        keep = v != 0
+        k, v = k[keep], v[keep]
+        idx = (k[:, None] // strides) % width + (a_lo + b_lo)
+        return FourierElement._trusted(
+            self.theta, dict(zip(map(tuple, idx.tolist()), v.tolist()))
+        )
 
     def adjoint(self) -> "FourierElement":
         out: dict[Index, complex] = {}
@@ -139,7 +204,7 @@ class FourierElement:
         return FourierElement(self.theta, out)
 
     def derive(self, axis: int) -> "FourierElement":
-        return FourierElement(
+        return FourierElement._trusted(
             self.theta,
             {a: c * a[axis - 1] for a, c in self.coeffs.items() if a[axis - 1]},
         )
@@ -151,7 +216,7 @@ class FourierElement:
         return sum(abs(c) for c in self.coeffs.values())
 
     def prune(self, eps: float) -> "FourierElement":
-        return FourierElement(
+        return FourierElement._trusted(
             self.theta, {a: c for a, c in self.coeffs.items() if abs(c) > eps}
         )
 
@@ -249,10 +314,10 @@ class Assignment:
         return out
 
     def evaluate_poly(self, p: NCPoly) -> FourierElement:
-        out = FourierElement(self.theta)
+        out: dict[Index, complex] = {}
         for word, sc in p.terms.items():
-            out = out + self.evaluate_word(word).scale(float(sc))
-        return out
+            _accumulate(out, self.evaluate_word(word).coeffs, float(sc))
+        return FourierElement._trusted(self.theta, out)
 
     def evaluate_trace_expression(self, e: TraceExpression) -> complex:
         total = 0.0 + 0.0j
@@ -261,10 +326,10 @@ class Assignment:
         return total
 
     def evaluate_symbol(self, s: Symbol, xi) -> FourierElement:
-        out = FourierElement(self.theta)
+        out: dict[Index, complex] = {}
         for mono, coef in s.terms.items():
-            out = out + self.evaluate_poly(coef).scale(mono.eval(xi))
-        return out
+            _accumulate(out, self.evaluate_poly(coef).coeffs, mono.eval(xi))
+        return FourierElement._trusted(self.theta, out)
 
 
 def gamma_sum_evaluation(

@@ -9,11 +9,16 @@ bit through Python's json module.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .fourier_oracle import Assignment, FourierElement, ThetaMatrix
 from .ncalg import Letter, NCPoly, Scalar, Word, word_sort_key
 from .symcalc import Symbol, XiMonomial
 from .trace import TraceExpression, TraceWord
+
+# the oracle needs numpy and the symbolic forms do not, so its classes
+# are imported only where an assignment or an element is parsed
+if TYPE_CHECKING:
+    from .fourier_oracle import Assignment, FourierElement, ThetaMatrix
 
 
 def scalar_to_json(sc: Scalar) -> dict:
@@ -112,6 +117,8 @@ def _element_to_json(el: FourierElement) -> dict:
 
 
 def _element_from_json(obj: dict, theta: ThetaMatrix) -> FourierElement:
+    from .fourier_oracle import FourierElement
+
     return FourierElement(
         theta,
         {tuple(it["index"]): complex(it["re"], it["im"]) for it in obj["coeffs"]},
@@ -149,6 +156,8 @@ def assignment_to_json(asg: Assignment) -> dict:
 
 
 def assignment_from_json(obj: dict) -> Assignment:
+    from .fourier_oracle import Assignment, ThetaMatrix
+
     theta = ThetaMatrix(obj["theta"])
     missing = {"h", "X", *(f"T{a}" for a in range(1, theta.d + 1))} - set(obj["atoms"])
     if missing:

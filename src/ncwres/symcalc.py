@@ -126,12 +126,6 @@ class Symbol:
         c = as_scalar(c)
         return Symbol(self.d, {mono: coef.scale(c) for mono, coef in self.terms.items()})
 
-    def lmul_poly(self, p: NCPoly) -> "Symbol":
-        return Symbol(self.d, {mono: p * coef for mono, coef in self.terms.items()})
-
-    def rmul_poly(self, p: NCPoly) -> "Symbol":
-        return Symbol(self.d, {mono: coef * p for mono, coef in self.terms.items()})
-
     def derive(self, axis: int) -> "Symbol":
         """Torus derivation applied to every coefficient; xi is untouched."""
         return Symbol(

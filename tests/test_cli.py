@@ -1,9 +1,14 @@
 """Command line contract: pinned renderings, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncwres
 from ncwres.cli import main
 from ncwres.randgen import random_assignment
 from ncwres.serialize import assignment_to_json, trace_expression_from_json
@@ -215,3 +220,19 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path, argv, content):
     assert captured.out == ""
     assert captured.err.startswith("ncwres: ")
     assert captured.err.count("\n") == 1
+
+
+def test_symbolic_path_does_not_import_numpy():
+    src = str(Path(ncwres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "import ncwres.cli\n"
+        "ncwres.cli.main(['wres', '--d', '4'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

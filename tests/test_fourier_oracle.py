@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncwres.fourier_oracle import (
+    BLOCK_PAIRS,
     Assignment,
     FourierElement,
     ThetaMatrix,
     nc_invert_neumann,
 )
 from ncwres.ncalg import Algebra, Letter
+from ncwres.randgen import THETA_MODES, random_theta
 from ncwres.symcalc import Symbol
 from ncwres.trace import ibp_reduce, trace
 
@@ -82,6 +84,57 @@ def rand_element(theta: ThetaMatrix, rng: np.random.Generator, modes: int = 4) -
         idx = tuple(int(v) for v in rng.integers(-2, 3, size=theta.d))
         coeffs[idx] = complex(rng.normal(), rng.normal())
     return FourierElement(theta, coeffs)
+
+
+def pairwise_product(a: FourierElement, b: FourierElement) -> FourierElement:
+    """The twisted convolution summed pair by pair with the scalar phase,
+    which test_product_phase_matches_bubble_sort checks independently."""
+    out: dict = {}
+    for alpha, ca in a.coeffs.items():
+        for beta, cb in b.coeffs.items():
+            idx = tuple(x + y for x, y in zip(alpha, beta))
+            out[idx] = out.get(idx, 0.0) + ca * cb * a.theta.phase(alpha, beta)
+    return FourierElement(a.theta, out)
+
+
+# a full grid of this radius has enough modes that its product with a
+# three-mode element spans several blocks of the product kernel
+GRID_RADIUS = {2: 19, 3: 6, 4: 3}
+
+
+def grid_element(theta: ThetaMatrix, rng: np.random.Generator) -> FourierElement:
+    r = GRID_RADIUS[theta.d]
+    axes = np.meshgrid(*[np.arange(-r, r + 1)] * theta.d, indexing="ij")
+    idx = np.stack([ax.ravel() for ax in axes], axis=1)
+    vals = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    return FourierElement(theta, dict(zip(map(tuple, idx.tolist()), vals.tolist())))
+
+
+@pytest.mark.parametrize("mode", THETA_MODES)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_product_matches_pairwise_sum(d, mode):
+    rng = np.random.default_rng(100 * d + THETA_MODES.index(mode))
+    theta = random_theta(d, rng, mode)
+    empty = FourierElement(theta)
+    single = rand_element(theta, rng, modes=1)
+    small = rand_element(theta, rng, modes=6)
+    few = rand_element(theta, rng, modes=3)
+    grid = grid_element(theta, rng)
+    assert len(few.coeffs) * len(grid.coeffs) > BLOCK_PAIRS
+    cases = [
+        (small, rand_element(theta, rng, modes=5)),
+        (empty, small),
+        (small, empty),
+        (single, small),
+        (small, single),
+        (few, grid),
+        (grid, few),
+    ]
+    for a, b in cases:
+        want = pairwise_product(a, b)
+        assert ((a * b) - want).norm1() <= 1e-12 * want.norm1()
+    assert (empty * small).coeffs == {} and (small * empty).coeffs == {}
+    assert (small - small).coeffs == {}
 
 
 def test_adjoint_is_involutive_and_antimultiplicative():
