@@ -162,6 +162,21 @@ def cmd_parametrix(args) -> int:
     return 0
 
 
+def _print_report(report: dict, fmt: str) -> int:
+    """Print a check report as JSON or as one line per check; exit code."""
+    if fmt == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        for check in report["checks"]:
+            mark = "PASS" if check["passed"] else "FAIL"
+            print(f"{mark} {check['name']}: {check['detail']}")
+        if "minimality" in report:
+            verdict = "yes" if report["minimality"]["minimal"] else "no"
+            print(f"residue-minimal with torsion: {verdict}")
+        print("passed" if report["passed"] else "failed")
+    return 0 if report["passed"] else 3
+
+
 def cmd_verify(args) -> int:
     from .verify import run_verification
 
@@ -175,74 +190,14 @@ def cmd_verify(args) -> int:
         d=args.d, seed=seed, inject_sphere_fault=args.inject_sphere_fault
     )
     elapsed = time.perf_counter() - t0
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        for check in report["checks"]:
-            mark = "PASS" if check["passed"] else "FAIL"
-            print(f"{mark} {check['name']}: {check['detail']}")
-        if "minimality" in report:
-            verdict = "yes" if report["minimality"]["minimal"] else "no"
-            print(f"residue-minimal with torsion: {verdict}")
-        print("passed" if report["passed"] else "failed")
+    code = _print_report(report, args.format)
     print(f"verification took {elapsed:.2f}s", file=sys.stderr)
-    return 0 if report["passed"] else 3
-
-
-def _oracle_battery(asg, d: int) -> list[dict]:
-    from .fourier_oracle import FourierElement
-    from .verify import worst_reduction_gap
-
-    alg = Algebra(d)
-    checks = []
-
-    inv = asg.h_inverse()
-    unit_gap = (asg.atoms["h"] * inv.element - FourierElement.one(asg.theta)).norm1()
-    checks.append(
-        {
-            "name": "neumann-inverse",
-            "passed": unit_gap < 10 * asg.tol,
-            "detail": f"|h h^-1 - 1| = {unit_gap:.3e}, certified tail {inv.tail_bound:.3e}",
-        }
-    )
-
-    exprs = [
-        trace(alg.h() * alg.h().derive(1).derive(1)),
-        trace((alg.h() * alg.t(1) * alg.h()).derive(min(2, d))),
-        trace(alg.hinv() * alg.h() * alg.x()) - trace(alg.x()),
-        trace(alg.h().derive(1) * alg.h()) - trace(alg.h() * alg.h().derive(1)),
-    ]
-    worst = worst_reduction_gap(asg, exprs)
-    checks.append(
-        {
-            "name": "reduced-identities",
-            "passed": worst < 1e-8,
-            "detail": f"worst deviation {worst:.3e} across {len(exprs)} identities",
-        }
-    )
-
-    from .fourier_oracle import gamma_sum_evaluation
-    from .symcalc import Symbol, symbol_product
-
-    p = Symbol.from_poly(alg.h(), alpha=(1,) + (0,) * (d - 1))
-    q = Symbol.from_poly(alg.t(1), alpha=(0, 1) + (0,) * (d - 2))
-    prod = symbol_product(p, q, min_degree=0)
-    xi = tuple(0.5 + 0.25 * i for i in range(d))
-    gap = (
-        asg.evaluate_symbol(prod, xi) - gamma_sum_evaluation(asg, p, q, 0, xi)
-    ).norm1()
-    checks.append(
-        {
-            "name": "symbol-product",
-            "passed": gap < 1e-8,
-            "detail": f"symbolic composition vs direct gamma sum differ by {gap:.3e}",
-        }
-    )
-    return checks
+    return code
 
 
 def cmd_oracle_check(args) -> int:
     from .randgen import random_assignment
+    from .verify import oracle_battery
 
     seed = args.seed if args.seed is not None else default_seed()
     try:
@@ -258,16 +213,10 @@ def cmd_oracle_check(args) -> int:
         return _bad_input(f"invalid oracle assignment: missing key {exc}")
     except (ValueError, TypeError, OSError) as exc:
         return _bad_input(f"invalid oracle assignment: {exc}")
-    checks = _oracle_battery(asg, asg.d)
+    checks = oracle_battery(asg)
     passed = all(c["passed"] for c in checks)
-    if args.format == "json":
-        print(json.dumps({"seed": seed, "d": asg.d, "checks": checks, "passed": passed}, indent=2))
-    else:
-        for check in checks:
-            mark = "PASS" if check["passed"] else "FAIL"
-            print(f"{mark} {check['name']}: {check['detail']}")
-        print("passed" if passed else "failed")
-    return 0 if passed else 3
+    report = {"seed": seed, "d": asg.d, "checks": checks, "passed": passed}
+    return _print_report(report, args.format)
 
 
 def main(argv=None) -> int:

@@ -138,9 +138,6 @@ class FourierElement:
     def monomial(cls, theta: ThetaMatrix, index: Index, c: complex = 1.0) -> "FourierElement":
         return cls(theta, {tuple(index): c})
 
-    def copy(self) -> "FourierElement":
-        return FourierElement._trusted(self.theta, dict(self.coeffs))
-
     def __add__(self, other: "FourierElement") -> "FourierElement":
         out = dict(self.coeffs)
         _accumulate(out, other.coeffs)
@@ -360,11 +357,17 @@ def gamma_sum_evaluation(
                 for _ in range(reps):
                     dp = dp.partial_xi(axis)
                     dq = dq.derive(axis)
+            # each coefficient is evaluated once, not once per pair
+            left: dict = {}
+            right: dict = {}
             for mono1, coef1 in dp.terms.items():
                 for mono2, coef2 in dq.terms.items():
                     if mono1.degree + mono2.degree < min_degree:
                         continue
                     scal = weight * mono1.eval(xi) * mono2.eval(xi)
-                    piece = asg.evaluate_poly(coef1) * asg.evaluate_poly(coef2)
-                    total = total + piece.scale(scal)
+                    if mono1 not in left:
+                        left[mono1] = asg.evaluate_poly(coef1)
+                    if mono2 not in right:
+                        right[mono2] = asg.evaluate_poly(coef2)
+                    total = total + (left[mono1] * right[mono2]).scale(scal)
     return total

@@ -85,7 +85,6 @@ class Scalar:
         return f"Scalar({self.q}, pi={self.pi})"
 
 
-ZERO = Scalar(Fraction(0))
 ONE = Scalar(Fraction(1))
 
 
@@ -190,9 +189,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def copy(self) -> "NCPoly":
-        return NCPoly(self.d, dict(self.terms))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -279,12 +275,6 @@ class NCPoly:
             key = tuple(sorted(rest, key=Letter.sort_key))
             _accumulate(out, key, sc)
         return NCPoly(self.d, out)
-
-    def max_deriv_order(self) -> int:
-        return max(
-            (let.order for word in self.terms for let in word),
-            default=0,
-        )
 
     def __repr__(self) -> str:
         return f"NCPoly({self.d}, {format_poly(self)!r})"

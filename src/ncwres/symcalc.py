@@ -191,9 +191,6 @@ class Symbol:
             {m: c for m, c in self.terms.items() if m.degree >= min_degree},
         )
 
-    def max_deriv_order(self) -> int:
-        return max((c.max_deriv_order() for c in self.terms.values()), default=0)
-
     def __repr__(self) -> str:
         return f"Symbol({self.d}, {format_symbol(self)!r})"
 

@@ -163,13 +163,17 @@ def trace(p: NCPoly) -> TraceExpression:
     return TraceExpression.from_poly(p)
 
 
+def commutative_word(d: int, word: Word) -> Word:
+    """The one word that is the commutative image of ``word``."""
+    # the image of one word is one word with coefficient 1
+    (image,) = NCPoly.from_word(d, word).commutative_image().terms
+    return image
+
+
 def commutative_image_expr(e: TraceExpression) -> TraceExpression:
     out: dict[TraceWord, Scalar] = {}
     for tw, sc in e.terms.items():
-        img = NCPoly.from_word(e.d, tw.word).commutative_image()
-        # the image of one word is one word with coefficient 1
-        (word,) = img.terms
-        key = TraceWord.make(word)
+        key = TraceWord.make(commutative_word(e.d, tw.word))
         cur = out.get(key)
         out[key] = sc if cur is None else cur + sc
     return TraceExpression(e.d, out)
@@ -179,7 +183,61 @@ def commutative_image_expr(e: TraceExpression) -> TraceExpression:
 # relation system
 
 
-class ReductionSystem:
+class Echelon:
+    """Sparse reduced row form over the rationals.
+
+    Each row maps its pivot to 1 and contains no other row's pivot, so a
+    single pass of ``reduce_vector`` is exact.  ``key`` orders the columns;
+    a new row pivots on its largest surviving column.
+    """
+
+    def __init__(self, key):
+        self.key = key
+        # pivot -> row
+        self.rows: dict = {}
+
+    def reduce_vector(self, vec: dict) -> dict:
+        out: dict = {}
+        for u, q in vec.items():
+            row = self.rows.get(u)
+            if row is None:
+                cur = out.get(u)
+                out[u] = q if cur is None else cur + q
+                continue
+            for w, c in row.items():
+                if w == u:
+                    continue
+                cur = out.get(w)
+                out[w] = -q * c if cur is None else cur - q * c
+        return {u: q for u, q in out.items() if q}
+
+    def insert(self, row: dict):
+        """Add a row; return its pivot, or None if it reduced to zero."""
+        row = self.reduce_vector(row)
+        if not row:
+            return None
+        pivot = max(row, key=self.key)
+        inv = Fraction(1) / row[pivot]
+        row = {u: c * inv for u, c in row.items()}
+        # back-substitute into rows that mention the new pivot; their own
+        # pivots are safe because the reduced row contains no existing pivot
+        for other in self.rows.values():
+            coef = other.pop(pivot, None)
+            if coef is None:
+                continue
+            for u, c in row.items():
+                if u == pivot:
+                    continue
+                q = other.get(u, Fraction(0)) - coef * c
+                if q:
+                    other[u] = q
+                else:
+                    other.pop(u, None)
+        self.rows[pivot] = row
+        return pivot
+
+
+class ReductionSystem(Echelon):
     """Reduced row form of the integration-by-parts relations reachable
     from a set of seed words."""
 
@@ -190,6 +248,7 @@ class ReductionSystem:
         max_order: int | None = None,
         commutative: bool = False,
     ):
+        super().__init__(pivot_key)
         self.d = d
         self.commutative = commutative
         seed_list = sorted(set(seeds), key=pivot_key)
@@ -199,8 +258,6 @@ class ReductionSystem:
             else max((tw.order for tw in seed_list), default=0)
         )
         self.cap_len = max((len(tw) for tw in seed_list), default=0) + 1
-        # pivot word -> row (pivot coefficient 1, no other pivot appears)
-        self.rows: dict[TraceWord, dict[TraceWord, Fraction]] = {}
         self._seen_words = set(seed_list)
         self._seen_gens: set[TraceWord] = set()
         queue = deque(seed_list)
@@ -209,18 +266,15 @@ class ReductionSystem:
 
     def _canon(self, word: Word) -> TraceWord:
         if self.commutative:
-            img = NCPoly.from_word(self.d, word).commutative_image()
-            (word,) = img.terms
+            word = commutative_word(self.d, word)
         return TraceWord.make(word)
 
     def _relation(self, gen: TraceWord, axis: int) -> dict[TraceWord, Fraction]:
         """Row for t(d_axis(gen)) = 0."""
         dp = NCPoly.from_word(self.d, gen.word).derive(axis)
-        if self.commutative:
-            dp = dp.commutative_image()
         row: dict[TraceWord, Fraction] = {}
         for word, sc in dp.terms.items():
-            tw = TraceWord.make(word)
+            tw = self._canon(word)
             row[tw] = row.get(tw, Fraction(0)) + sc.q
         return {tw: q for tw, q in row.items() if q}
 
@@ -256,59 +310,7 @@ class ReductionSystem:
                     ):
                         self._seen_words.add(u)
                         queue.append(u)
-                self._insert(row)
-
-    def _insert(self, row: dict[TraceWord, Fraction]):
-        # eliminate every existing pivot from the incoming row
-        while True:
-            hit = next((w for w in row if w in self.rows), None)
-            if hit is None:
-                break
-            coef = row.pop(hit)
-            for u, c in self.rows[hit].items():
-                if u == hit:
-                    continue
-                q = row.get(u, Fraction(0)) - coef * c
-                if q:
-                    row[u] = q
-                else:
-                    row.pop(u, None)
-        if not row:
-            return
-        pivot = max(row, key=pivot_key)
-        inv = Fraction(1) / row[pivot]
-        row = {u: c * inv for u, c in row.items()}
-        # back-substitute into rows that mention the new pivot; their own
-        # pivots are safe because the incoming row contains no existing pivot
-        for other in self.rows.values():
-            coef = other.get(pivot)
-            if coef is None:
-                continue
-            del other[pivot]
-            for u, c in row.items():
-                if u == pivot:
-                    continue
-                q = other.get(u, Fraction(0)) + coef * (-c)
-                if q:
-                    other[u] = q
-                else:
-                    other.pop(u, None)
-        self.rows[pivot] = row
-
-    def reduce_vector(
-        self, terms: dict[TraceWord, Fraction]
-    ) -> dict[TraceWord, Fraction]:
-        out: dict[TraceWord, Fraction] = {}
-        for tw, q in terms.items():
-            row = self.rows.get(tw)
-            if row is None:
-                out[tw] = out.get(tw, Fraction(0)) + q
-                continue
-            for u, c in row.items():
-                if u == tw:
-                    continue
-                out[u] = out.get(u, Fraction(0)) - q * c
-        return {tw: q for tw, q in out.items() if q}
+                self.insert(row)
 
 
 def _pi_sectors(e: TraceExpression) -> dict[int, dict[TraceWord, Fraction]]:
@@ -385,40 +387,22 @@ def express_in_span(
     pi_s = [_uniform_pi(e) for e in exprs[1:]]
     seeds = [tw for e in exprs for tw in e.terms]
     system = ReductionSystem(target.d, seeds, max_order, commutative)
-    reduced = [
+    target_vec, *shape_vecs = [
         system.reduce_vector({tw: sc.q for tw, sc in e.terms.items()}) for e in exprs
     ]
-    basis = sorted({tw for vec in reduced for tw in vec}, key=pivot_key)
-    index = {tw: i for i, tw in enumerate(basis)}
-    n = len(reduced) - 1
-    # solve A x = b over the rationals by elimination on the augmented rows
-    aug = [[Fraction(0)] * (n + 1) for _ in basis]
-    for j, vec in enumerate(reduced[1:]):
-        for tw, q in vec.items():
-            aug[index[tw]][j] = q
-    for tw, q in reduced[0].items():
-        aug[index[tw]][n] = q
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        lead = aug[rank][col]
-        aug[rank] = [v / lead for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rank])]
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][n]:
-            return None  # inconsistent: target leaves the span
-    if rank < n:
+    # shape i enters as v_i - e_i with an integer tag i that sorts below
+    # every word, so a row pivots on a tag only when the shapes are
+    # dependent; the target then reduces to sum x_i e_i when it is in span
+    span = Echelon(lambda u: (0, u) if isinstance(u, int) else (1, pivot_key(u)))
+    for i, vec in enumerate(shape_vecs):
+        span.insert({**vec, i: Fraction(-1)})
+    rest = span.reduce_vector(target_vec)
+    if any(isinstance(u, TraceWord) for u in rest):
+        return None  # inconsistent: target leaves the span
+    if any(isinstance(u, int) for u in span.rows):
         raise ValueError("shapes are linearly dependent modulo the relations")
-    # rank == n, so column i was pivoted at row i
-    sol = [aug[i][n] for i in range(n)]
-    return [Scalar(sol[i], pi_t - pi_s[i] if sol[i] else 0) for i in range(n)]
+    sol = [rest.get(i, Fraction(0)) for i in range(len(shape_vecs))]
+    return [Scalar(x, pi_t - pi_s[i] if x else 0) for i, x in enumerate(sol)]
 
 
 # ---------------------------------------------------------------------------

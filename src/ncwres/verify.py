@@ -1,18 +1,20 @@
-"""Self-check battery: symbolic invariants cross-checked two ways.
+"""Check batteries: symbolic invariants cross-checked two ways.
 
 Each check pits two independent routes to the same quantity against
 each other, so a corrupted ingredient (for instance a sphere moment
 poisoned through the fault-injection hook) surfaces as a failed check
-rather than a silently wrong answer.  The report is a plain dict that
-serializes byte-identically for a fixed seed: no timestamps, no wall
-times, nothing environment-dependent.
+rather than a silently wrong answer.  ``run_verification`` is the
+self-check battery behind ``verify``; ``oracle_battery`` replays the
+shared identities on one concrete representation for ``oracle-check``.
+Reports are plain dicts that serialize byte-identically for a fixed
+seed: no timestamps, no wall times, nothing environment-dependent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fourier_oracle import Assignment, FourierElement, ThetaMatrix
+from .fourier_oracle import Assignment, FourierElement, ThetaMatrix, gamma_sum_evaluation
 from .ncalg import Algebra, Scalar
 from .parametrix import (
     OperatorSpec,
@@ -22,6 +24,7 @@ from .parametrix import (
     parametrix_terms,
 )
 from .randgen import random_assignment, random_probe_pair
+from .symcalc import Symbol, multi_indices, symbol_product
 from .trace import format_trace_expression, ibp_reduce, trace, TraceExpression
 from .wres import (
     SphereIntegralTable,
@@ -32,6 +35,7 @@ from .wres import (
 )
 
 FAULT_ALPHA = (2, 0, 0, 0)
+PROBES = 5
 
 
 def poisoned_table(d: int) -> SphereIntegralTable:
@@ -48,8 +52,6 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 def _moment_partition(d: int, table: SphereIntegralTable) -> dict:
     bad = []
-    from .symcalc import multi_indices
-
     for total in (0, 1, 2):
         for alpha in multi_indices(d, total):
             whole = table.get(alpha)
@@ -116,13 +118,13 @@ def _closed_forms(spec: OperatorSpec) -> dict:
     )
 
 
-def _trace_property(d: int, seed: int, probes: int, table: SphereIntegralTable) -> dict:
+def _trace_property(d: int, seed: int, table: SphereIntegralTable) -> dict:
     import numpy as np
 
     rng = np.random.default_rng(seed)
     failures = 0
     nontrivial = 0
-    for _ in range(probes):
+    for _ in range(PROBES):
         p, q = random_probe_pair(d, rng)
         r_pq, r_qp, ok = trace_property_probe(p, q, table)
         if r_pq.terms or r_qp.terms:
@@ -132,9 +134,9 @@ def _trace_property(d: int, seed: int, probes: int, table: SphereIntegralTable) 
     return _check(
         "residue-trace-property",
         failures == 0 and nontrivial > 0,
-        f"{probes} probes, {nontrivial} nontrivial, all symmetric"
+        f"{PROBES} probes, {nontrivial} nontrivial, all symmetric"
         if failures == 0
-        else f"{failures} of {probes} probes broke the trace property",
+        else f"{failures} of {PROBES} probes broke the trace property",
     )
 
 
@@ -161,19 +163,22 @@ def worst_reduction_gap(asg: Assignment, exprs: list[TraceExpression]) -> float:
     )
 
 
-def _oracle_zero(d: int, seed: int) -> dict:
-    asg = random_assignment(d, seed)
+def _identities(d: int) -> list[TraceExpression]:
+    """Trace identities whose ibp_reduce form the oracle must reproduce."""
     alg = Algebra(d)
-    exprs = [
+    return [
         trace(alg.h() * alg.h().derive(1).derive(1)),
         trace((alg.h() * alg.t(1) * alg.h()).derive(min(2, d))),
         trace(alg.hinv() * alg.h() * alg.x()) - trace(alg.x()),
     ]
-    worst = worst_reduction_gap(asg, exprs)
-    ok = worst < 1e-8
+
+
+def _oracle_zero(d: int, seed: int) -> dict:
+    exprs = _identities(d)
+    worst = worst_reduction_gap(random_assignment(d, seed), exprs)
     return _check(
         "oracle-zero-certification",
-        ok,
+        worst < 1e-8,
         f"worst deviation {worst:.3e} across {len(exprs)} reduced identities",
     )
 
@@ -215,13 +220,7 @@ def minimality_report(d: int = 4) -> dict:
     }
 
 
-def run_verification(
-    d: int = 4,
-    seed: int = 0,
-    probes: int = 5,
-    inject_sphere_fault: bool = False,
-    include_minimality: bool = True,
-) -> dict:
+def run_verification(d: int = 4, seed: int = 0, inject_sphere_fault: bool = False) -> dict:
     table = poisoned_table(d) if inject_sphere_fault else SphereIntegralTable(d)
     spec = OperatorSpec(d=d, include_t=True, include_x=True)
     checks = [
@@ -229,7 +228,7 @@ def run_verification(
         _dichotomy(d, table),
         _defect(spec),
         _closed_forms(spec),
-        _trace_property(d, seed, probes, table),
+        _trace_property(d, seed, table),
     ]
     if d == 4:
         checks.append(_squared_power(table))
@@ -242,6 +241,43 @@ def run_verification(
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    if include_minimality and d == 4:
+    if d == 4:
         report["minimality"] = minimality_report(d)
     return report
+
+
+def oracle_battery(asg: Assignment) -> list[dict]:
+    """Symbolic identities replayed on one concrete representation."""
+    d = asg.d
+    alg = Algebra(d)
+    inv = asg.h_inverse()
+    unit_gap = (asg.atoms["h"] * inv.element - FourierElement.one(asg.theta)).norm1()
+    # cyclicity is exact in the reduction, so its oracle gap must vanish too
+    exprs = _identities(d) + [
+        trace(alg.h().derive(1) * alg.h()) - trace(alg.h() * alg.h().derive(1))
+    ]
+    worst = worst_reduction_gap(asg, exprs)
+    p = Symbol.from_poly(alg.h(), alpha=(1,) + (0,) * (d - 1))
+    q = Symbol.from_poly(alg.t(1), alpha=(0, 1) + (0,) * (d - 2))
+    xi = tuple(0.5 + 0.25 * i for i in range(d))
+    gap = (
+        asg.evaluate_symbol(symbol_product(p, q, min_degree=0), xi)
+        - gamma_sum_evaluation(asg, p, q, 0, xi)
+    ).norm1()
+    return [
+        _check(
+            "neumann-inverse",
+            unit_gap < 10 * asg.tol,
+            f"|h h^-1 - 1| = {unit_gap:.3e}, certified tail {inv.tail_bound:.3e}",
+        ),
+        _check(
+            "reduced-identities",
+            worst < 1e-8,
+            f"worst deviation {worst:.3e} across {len(exprs)} identities",
+        ),
+        _check(
+            "symbol-product",
+            gap < 1e-8,
+            f"symbolic composition vs direct gamma sum differ by {gap:.3e}",
+        ),
+    ]

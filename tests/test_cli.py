@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,52 @@ def test_oracle_check_seeded(capsys):
         "reduced-identities",
         "symbol-product",
     }
+
+
+FLOAT = re.compile(r"\d\.\d{3}e[+-]\d{2}")
+
+VERIFY_REPORT = """\
+PASS sphere-moment-partition: splitting |xi|^2 = sum xi_a^2 preserves every moment
+PASS derivative-dichotomy: sphere integral of a gradient vanishes exactly at homogeneity 1-d
+PASS composition-defect: b0..b2 cancel the symbol product to the computed depth
+PASS closed-form-vs-recursion: first and second correction terms match their closed forms
+PASS residue-trace-property: 5 probes, 4 nontrivial, all symmetric
+PASS squared-inverse-residue: residue of the squared inverse is 2*pi^2 * t[h^4]
+PASS oracle-zero-certification: worst deviation # across 3 reduced identities
+PASS oracle-worked-example: one-mode conformal factor: t(h^2) and t(dh.h) come out exact
+residue-minimal with torsion: no
+passed
+"""
+
+ORACLE_REPORT = """\
+PASS neumann-inverse: |h h^-1 - 1| = #, certified tail #
+PASS reduced-identities: worst deviation # across 4 identities
+PASS symbol-product: symbolic composition vs direct gamma sum differ by #
+passed
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("verify", "--d", "4", "--seed", "0"), VERIFY_REPORT),
+        (("oracle-check", "--d", "3", "--seed", "0"), ORACLE_REPORT),
+    ],
+    ids=["verify", "oracle-check"],
+)
+def test_text_report_is_pinned(capsys, argv, want):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    # the printed deviations vary at rounding level; each must stay tiny
+    assert all(float(x) < 1e-8 for x in FLOAT.findall(out))
+    assert FLOAT.sub("#", out) == want
+
+
+def test_oracle_check_json_key_order(capsys):
+    _, out, _ = run(capsys, "oracle-check", "--d", "3", "--seed", "0", "--format", "json")
+    report = json.loads(out)
+    assert list(report) == ["seed", "d", "checks", "passed"]
+    assert [list(c) for c in report["checks"]] == [["name", "passed", "detail"]] * 3
 
 
 def test_oracle_check_from_file(capsys, tmp_path):

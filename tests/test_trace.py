@@ -129,6 +129,46 @@ def test_express_in_span_carries_pi():
     assert express_in_span(target, [shape]) == [Scalar(Fraction(2), pi=2)]
 
 
+S = trace(ALG.h().derive(1) * ALG.h().derive(1))
+U = trace(ALG.x())
+PI = Scalar(Fraction(1), pi=1)
+IBP_ZERO = trace(ALG.h().derive(1) * ALG.h())
+
+
+@pytest.mark.parametrize(
+    "target, shapes, want",
+    [
+        # None wins over dependence when the target leaves the span
+        (U, [S, S.scale(2)], None),
+        (S.scale(3), [S, S.scale(2)], ValueError),
+        (trace(ALG.h() * ALG.h().derive(1)) - IBP_ZERO, [], []),
+        (U, [], None),
+        (S, [S, IBP_ZERO], ValueError),
+        (
+            S.scale(Scalar(Fraction(3), pi=2)) - U.scale(Scalar(Fraction(1, 2), pi=2)),
+            [S, U.scale(PI)],
+            [Scalar(Fraction(3), pi=2), Scalar(Fraction(-1, 2), pi=1)],
+        ),
+        (trace(ALG.h() * ALG.h().derive(1).derive(1)), [S], [Scalar(Fraction(-1))]),
+    ],
+    ids=[
+        "dependent-target-outside",
+        "dependent-target-inside",
+        "no-shapes-zero-target",
+        "no-shapes-nonzero-target",
+        "shape-zero-modulo-ibp",
+        "distinct-pi-powers",
+        "ibp-only-match",
+    ],
+)
+def test_express_in_span_contract(target, shapes, want):
+    if want is ValueError:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            express_in_span(target, shapes)
+    else:
+        assert express_in_span(target, shapes) == want
+
+
 # -- hypothesis ------------------------------------------------------------
 
 letters = st.one_of(
