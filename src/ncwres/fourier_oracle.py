@@ -346,7 +346,7 @@ def gamma_sum_evaluation(
     from .symcalc import multi_indices
 
     d = p.d
-    total = FourierElement(asg.theta)
+    total: dict = {}
     gamma_max = p.max_degree() + q.max_degree() - min_degree
     for order in range(gamma_max + 1):
         for gamma in multi_indices(d, order):
@@ -369,5 +369,6 @@ def gamma_sum_evaluation(
                         left[mono1] = asg.evaluate_poly(coef1)
                     if mono2 not in right:
                         right[mono2] = asg.evaluate_poly(coef2)
-                    total = total + (left[mono1] * right[mono2]).scale(scal)
-    return total
+                    piece = (left[mono1] * right[mono2]).scale(scal)
+                    _accumulate(total, piece.coeffs)
+    return FourierElement._trusted(asg.theta, total)

@@ -17,6 +17,13 @@ so derived inverses cannot appear.  The only rewrite rule is cancellation
 of adjacent underived ``H``/``Hinv`` pairs, which makes normal forms
 unique without any ordering choices between distinct letters.
 
+Invariant: every word stored in an ``NCPoly`` is normal.  The public
+constructor normalizes its keys, so the arithmetic can rely on it: a
+product of two normal words can only cancel at the junction, and a
+derivation never creates an adjacent underived pair (it either derives a
+letter or replaces h^-1 by h^-1 d(h) h^-1).  Results built inside the
+class therefore skip both the re-normalization and the re-filter.
+
 Scalars are exact: a rational times an integer power of pi.  The pi power
 is carried separately so that residue outputs stay exact.
 """
@@ -99,12 +106,18 @@ class Letter:
     """A single generator, possibly derived.
 
     ``axis`` is the 1-based direction for ``T`` letters and None otherwise.
-    ``deriv`` has one nonnegative entry per torus direction.
+    ``deriv`` has one nonnegative entry per torus direction.  ``order``
+    (the total derivative order) and the cancellation sign are derived
+    once here; equality and hashing use (kind, deriv, axis) only.
     """
 
     kind: str
     deriv: tuple[int, ...]
     axis: int | None = None
+    order: int = field(init=False, repr=False, compare=False)
+    # +1 for an underived h, -1 for h^-1, 2 otherwise: two adjacent
+    # letters cancel exactly when their signs sum to zero
+    _sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KIND_RANK:
@@ -115,15 +128,20 @@ class Letter:
             raise ValueError("derived inverse must be expanded, not stored")
         if any(n < 0 for n in self.deriv):
             raise ValueError("derivative exponents must be nonnegative")
+        order = sum(self.deriv)
+        if self.kind == "Hinv":
+            sign = -1
+        elif self.kind == "H" and not order:
+            sign = 1
+        else:
+            sign = 2
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_sign", sign)
         # letters are hashed constantly inside word dicts; cache it
         object.__setattr__(self, "_hash", hash((self.kind, self.deriv, self.axis)))
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def order(self) -> int:
-        return sum(self.deriv)
 
     def sort_key(self):
         return (KIND_RANK[self.kind], self.axis or 0, self.deriv)
@@ -133,9 +151,7 @@ Word = tuple[Letter, ...]
 
 
 def _cancels(a: Letter, b: Letter) -> bool:
-    if a.order or b.order:
-        return False
-    return {a.kind, b.kind} == {"H", "Hinv"}
+    return a._sign + b._sign == 0
 
 
 def normalize_word(letters: Iterable[Letter]) -> Word:
@@ -153,6 +169,21 @@ def normalize_word(letters: Iterable[Letter]) -> Word:
     return tuple(out)
 
 
+def _join(w1: Word, w2: Word) -> Word:
+    """normalize_word(w1 + w2) for normal w1 and w2.
+
+    Neither word has an adjacent pair of its own, so cancellation can only
+    happen at the junction, and it runs outward from there.
+    """
+    i, j, n = len(w1), 0, len(w2)
+    while i and j < n and _cancels(w1[i - 1], w2[j]):
+        i -= 1
+        j += 1
+    if not j:
+        return w1 + w2
+    return w1[:i] + w2[j:]
+
+
 def word_sort_key(word: Word):
     return (len(word), tuple(let.sort_key() for let in word))
 
@@ -162,7 +193,11 @@ def _bump(deriv: tuple[int, ...], axis: int) -> tuple[int, ...]:
 
 
 class NCPoly:
-    """Finite scalar combination of normalized words."""
+    """Finite scalar combination of normalized words.
+
+    The constructor normalizes every key and merges keys that become
+    equal, so no caller can store a non-normal word.
+    """
 
     __slots__ = ("d", "terms")
 
@@ -171,8 +206,15 @@ class NCPoly:
         self.terms: dict[Word, Scalar] = {}
         if terms:
             for word, sc in terms.items():
-                if sc:
-                    self.terms[word] = sc
+                _accumulate(self.terms, normalize_word(word), sc)
+
+    @classmethod
+    def _trusted(cls, d: int, terms: dict[Word, Scalar]) -> "NCPoly":
+        """Wrap a dict of normal words and nonzero scalars as is."""
+        p = cls.__new__(cls)
+        p.d = d
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, d: int) -> "NCPoly":
@@ -184,7 +226,8 @@ class NCPoly:
 
     @classmethod
     def from_word(cls, d: int, word: Iterable[Letter], coef: ScalarLike = 1) -> "NCPoly":
-        return cls(d, {normalize_word(word): as_scalar(coef)})
+        coef = as_scalar(coef)
+        return cls._trusted(d, {normalize_word(word): coef} if coef else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -206,10 +249,10 @@ class NCPoly:
         out = dict(self.terms)
         for word, sc in other.terms.items():
             _accumulate(out, word, sc)
-        return NCPoly(self.d, out)
+        return NCPoly._trusted(self.d, out)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(self.d, {w: -sc for w, sc in self.terms.items()})
+        return NCPoly._trusted(self.d, {w: -sc for w, sc in self.terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -220,8 +263,8 @@ class NCPoly:
             out: dict[Word, Scalar] = {}
             for w1, s1 in self.terms.items():
                 for w2, s2 in other.terms.items():
-                    _accumulate(out, normalize_word(w1 + w2), s1 * s2)
-            return NCPoly(self.d, out)
+                    _accumulate(out, _join(w1, w2), s1 * s2)
+            return NCPoly._trusted(self.d, out)
         return self.scale(other)
 
     def __rmul__(self, other) -> "NCPoly":
@@ -232,25 +275,29 @@ class NCPoly:
         c = as_scalar(c)
         if not c:
             return NCPoly.zero(self.d)
-        return NCPoly(self.d, {w: sc * c for w, sc in self.terms.items()})
+        if c == ONE:
+            return self
+        return NCPoly._trusted(self.d, {w: sc * c for w, sc in self.terms.items()})
 
     def derive(self, axis: int) -> "NCPoly":
-        """Apply the direction-``axis`` derivation by the Leibniz rule."""
+        """Apply the direction-``axis`` derivation by the Leibniz rule.
+
+        The new words are normal already: a derived letter cancels with
+        nothing, and h^-1 d(h) h^-1 keeps the neighbours h^-1 had.
+        """
         if not 1 <= axis <= self.d:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
+        dh = Letter("H", _bump((0,) * self.d, axis))
         out: dict[Word, Scalar] = {}
         for word, sc in self.terms.items():
             for i, let in enumerate(word):
                 if let.kind == "Hinv":
-                    hinv = let
-                    dh = Letter("H", _bump((0,) * self.d, axis))
-                    new = word[:i] + (hinv, dh, hinv) + word[i + 1:]
-                    _accumulate(out, normalize_word(new), -sc)
+                    new = word[:i] + (let, dh, let) + word[i + 1:]
+                    _accumulate(out, new, -sc)
                 else:
                     bumped = Letter(let.kind, _bump(let.deriv, axis), let.axis)
-                    new = word[:i] + (bumped,) + word[i + 1:]
-                    _accumulate(out, normalize_word(new), sc)
-        return NCPoly(self.d, out)
+                    _accumulate(out, word[:i] + (bumped,) + word[i + 1:], sc)
+        return NCPoly._trusted(self.d, out)
 
     def commutative_image(self) -> "NCPoly":
         """Project onto the commutative quotient.

@@ -119,28 +119,23 @@ class ParametrixResult:
     defect: Symbol
 
     def total(self) -> Symbol:
-        out = Symbol.zero(self.terms[0].d)
-        for t in self.terms:
-            out = out + t
-        return out
+        return sum(self.terms, Symbol.zero(self.terms[0].d))
 
 
-def parametrix_terms(a: Symbol, n: int, side: str = "left") -> ParametrixResult:
-    """Terms b_0 .. b_n of the parametrix, plus the composition defect.
+def parametrix_series(a: Symbol, n: int, side: str = "left") -> list[Symbol]:
+    """Terms b_0 .. b_n of the parametrix.
 
     For the left parametrix, degree -m of B # A vanishing gives
 
         b_m = -band_{-m}( (b_0 + ... + b_{m-1}) # a ) . b_0,
 
     with the degree -m band taken by ``compose``; the right parametrix
-    mirrors the factors.  The defect is the composition minus 1, truncated
-    at degree -n, and is identically zero there when the recursion is correct.
+    mirrors the factors.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if n < 0:
         raise ValueError("need at least the leading term")
-    d = a.d
     b0 = invert_leading(a)
     bs = [b0]
     total = b0
@@ -151,11 +146,23 @@ def parametrix_terms(a: Symbol, n: int, side: str = "left") -> ParametrixResult:
             b = -(b0.pointwise_mul(compose(a, total, -m, -m)))
         bs.append(b)
         total = total + b
+    return bs
+
+
+def parametrix_terms(a: Symbol, n: int, side: str = "left") -> ParametrixResult:
+    """``parametrix_series`` plus the composition defect that certifies it.
+
+    The defect is the composition of the summed terms with the symbol,
+    minus 1, truncated at degree -n; it is identically zero there when
+    the recursion is correct.
+    """
+    terms = parametrix_series(a, n, side)
+    total = sum(terms, Symbol.zero(a.d))
     if side == "left":
-        defect = symbol_product(total, a, -n) - Symbol.one(d)
+        product = symbol_product(total, a, -n)
     else:
-        defect = symbol_product(a, total, -n) - Symbol.one(d)
-    return ParametrixResult(side, bs, defect)
+        product = symbol_product(a, total, -n)
+    return ParametrixResult(side, terms, product - Symbol.one(a.d))
 
 
 def closed_form_b1(spec: OperatorSpec) -> Symbol:

@@ -21,6 +21,7 @@ from .parametrix import (
     closed_form_b1,
     closed_form_b2,
     laplace_symbol,
+    parametrix_series,
     parametrix_terms,
 )
 from .randgen import random_assignment, random_probe_pair
@@ -105,10 +106,9 @@ def _defect(spec: OperatorSpec) -> dict:
 
 
 def _closed_forms(spec: OperatorSpec) -> dict:
-    a = laplace_symbol(spec)
-    res = parametrix_terms(a, 2)
-    ok1 = res.terms[1] == closed_form_b1(spec)
-    ok2 = res.terms[2] == closed_form_b2(spec)
+    terms = parametrix_series(laplace_symbol(spec), 2)
+    ok1 = terms[1] == closed_form_b1(spec)
+    ok2 = terms[2] == closed_form_b2(spec)
     return _check(
         "closed-form-vs-recursion",
         ok1 and ok2,

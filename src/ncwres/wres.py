@@ -18,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .parametrix import OperatorSpec, laplace_symbol, parametrix_terms
+from .parametrix import OperatorSpec, laplace_symbol, parametrix_series
 from .ncalg import NCPoly, Scalar
-from .symcalc import Symbol, XiMonomial, symbol_product
+from .symcalc import Symbol, XiMonomial, compose, symbol_product
 from .trace import TraceExpression, trace, trace_equal
 
 
@@ -89,16 +89,17 @@ def wres_inverse_power(
     The parametrix is expanded to order n (default d - 2*power, the
     deepest term any factor passes to degree -d), composed with itself
     power-1 times, and integrated.  Truncation at -d is safe: composition
-    only lowers degree.
+    only lowers degree.  The last product keeps degree -d alone, the only
+    degree the residue reads; no composition defect is formed.
     """
     if power < 1:
         raise ValueError("power must be at least 1")
     d = spec.d
     depth = max(d - 2 * power, 0) if n is None else n
-    total = parametrix_terms(laplace_symbol(spec), depth).total()
+    total = sum(parametrix_series(laplace_symbol(spec), depth), Symbol.zero(d))
     s = total
-    for _ in range(power - 1):
-        s = symbol_product(s, total, -d)
+    for k in range(1, power):
+        s = compose(s, total, -d, -d if k == power - 1 else None)
     return wodzicki_residue(s, table)
 
 

@@ -13,6 +13,8 @@ from ncwres.ncalg import (
     format_scalar,
     format_word,
     normalize_word,
+    _cancels,
+    _join,
 )
 
 D = 2
@@ -155,6 +157,82 @@ def test_inverse_still_cancels_after_derivation(a):
     p = a.derive(1)
     for word in p.terms:
         assert normalize_word(word) == word
+
+
+# -- normal-form kernel ----------------------------------------------------
+
+H0 = Letter("H", (0, 0))
+HI = Letter("Hinv", (0, 0))
+DH = Letter("H", (1, 0))
+T1 = Letter("T", (0, 0), axis=1)
+
+# biased towards underived h and h^-1, so that long cancellation runs occur
+hwords = st.lists(st.sampled_from([H0, H0, HI, HI, DH, T1]), max_size=7).map(
+    lambda w: normalize_word(w)
+)
+
+
+@st.composite
+def hpolys(draw):
+    terms = {draw(hwords): draw(coefs) for _ in range(draw(st.integers(0, 3)))}
+    return NCPoly(D, terms)
+
+
+@pytest.mark.parametrize(
+    "w1, w2",
+    [
+        ((H0, H0, H0), (HI, HI)),
+        ((H0, H0, H0), (HI, HI, HI)),
+        ((DH, HI, HI), (H0, H0, DH)),
+        ((T1, HI), (H0, H0, T1)),
+        ((H0,), ()),
+        ((), (HI,)),
+    ],
+)
+def test_join_cancels_whole_runs(w1, w2):
+    assert _join(w1, w2) == normalize_word(w1 + w2)
+
+
+@given(hwords, hwords)
+@settings(max_examples=200, deadline=None)
+def test_join_matches_normalize(w1, w2):
+    assert _join(w1, w2) == normalize_word(w1 + w2)
+
+
+@given(hpolys(), hpolys())
+@settings(max_examples=100, deadline=None)
+def test_products_and_derivatives_stay_normal(a, b):
+    for p in (a * b, a.derive(1), a.derive(2), (a * b).derive(1)):
+        for word in p.terms:
+            assert normalize_word(word) == word
+
+
+@given(letters, letters)
+@settings(max_examples=200, deadline=None)
+def test_cached_order_and_cancellation_rule(a, b):
+    assert a.order == sum(a.deriv)
+    old_rule = not a.order and not b.order and {a.kind, b.kind} == {"H", "Hinv"}
+    assert _cancels(a, b) == old_rule
+
+
+def test_letter_equality_ignores_cached_fields():
+    a, b = Letter("H", (1, 1)), Letter("H", (1, 1))
+    assert a == b and hash(a) == hash(b) and a.order == 2
+    assert {a: 1}[b] == 1
+
+
+def test_constructor_normalizes_and_merges_keys():
+    # h.h^-1 and the empty word are one key after normalization
+    p = NCPoly(D, {(H0, HI): Scalar(Fraction(1)), (): Scalar(Fraction(2))})
+    assert p.terms == {(): Scalar(Fraction(3))}
+    q = NCPoly(D, {(H0, HI, T1): Scalar(Fraction(1)), (T1,): Scalar(Fraction(-1))})
+    assert q.is_zero()
+
+
+def test_scale_by_one_returns_self():
+    p = ALG.h() + ALG.t(1)
+    assert p.scale(1) is p
+    assert p.scale(2) == p + p
 
 
 # -- rendering -------------------------------------------------------------

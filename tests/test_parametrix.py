@@ -10,6 +10,7 @@ from ncwres.parametrix import (
     closed_form_b2,
     invert_leading,
     laplace_symbol,
+    parametrix_series,
     parametrix_terms,
 )
 from ncwres.symcalc import Symbol, XiMonomial, expand_norm, symbol_product
@@ -187,6 +188,22 @@ def test_right_parametrix_matches_left_termwise():
     right = parametrix_terms(a, 2, side="right")
     assert left.terms == right.terms
     assert right.defect.is_zero()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_series_equals_defect_certified_terms(side):
+    a = laplace_symbol(SPEC_TX)
+    res = parametrix_terms(a, 3, side)
+    assert parametrix_series(a, 3, side) == res.terms
+    assert res.defect.is_zero()
+
+
+def test_series_validates_like_terms():
+    a = laplace_symbol(SPEC_T)
+    with pytest.raises(ValueError):
+        parametrix_series(a, 2, side="middle")
+    with pytest.raises(ValueError):
+        parametrix_series(a, -1)
 
 
 def test_composition_defect_vanishes():

@@ -2,9 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from ncwres import parametrix, wres
 from ncwres.ncalg import Algebra, Scalar
-from ncwres.parametrix import OperatorSpec, laplace_symbol, parametrix_terms
-from ncwres.symcalc import Symbol, XiMonomial
+from ncwres.parametrix import (
+    OperatorSpec,
+    laplace_symbol,
+    parametrix_series,
+    parametrix_terms,
+)
+from ncwres.symcalc import Symbol, XiMonomial, compose, symbol_product
 from ncwres.trace import trace, trace_equal
 from ncwres.wres import (
     SphereIntegralTable,
@@ -178,3 +184,34 @@ def test_default_depth_reaches_degree_minus_d(d, power):
     got = wres_inverse_power(spec, power=power)
     assert not got.is_zero()
     assert got == wres_inverse_power(spec, power=power, n=d - 2 * power + 1)
+
+
+def test_residue_path_forms_no_defect(monkeypatch):
+    # the residue of the unpatched defect-certified parametrix, computed
+    # first; the residue path must reach it without any symbol_product
+    want = wodzicki_residue(parametrix_terms(laplace_symbol(SPEC_T), 2).total())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the residue path formed a composition defect")
+
+    monkeypatch.setattr(parametrix, "symbol_product", forbidden)
+    monkeypatch.setattr(wres, "symbol_product", forbidden)
+    got = wres_inverse_power(SPEC_T, power=1)
+    assert got == want
+    assert trace_equal(got, frozen_inverse_residue())
+
+
+@pytest.mark.parametrize("d, power", [(4, 2), (6, 2), (6, 3)])
+def test_last_product_band_is_the_residue_degree(d, power):
+    spec = OperatorSpec(d=d, include_t=True)
+    terms = parametrix_series(laplace_symbol(spec), d - 2 * power)
+    total = sum(terms, Symbol.zero(d))
+    s = total
+    for _ in range(power - 2):
+        s = compose(s, total, -d)
+    band = compose(s, total, -d, -d)
+    full = symbol_product(s, total, -d).homogeneous_part(-d)
+    assert not band.is_zero()
+    assert band == full
+    # same monomial order, so residues come out term for term alike
+    assert list(band.terms) == list(full.terms)
