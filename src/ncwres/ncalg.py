@@ -24,19 +24,18 @@ derivation never creates an adjacent underived pair (it either derives a
 letter or replaces h^-1 by h^-1 d(h) h^-1).  Results built inside the
 class therefore skip both the re-normalization and the re-filter.
 
-Scalars are exact: a rational times an integer power of pi.  The pi power
-is carried separately so that residue outputs stay exact.
+Coefficients are plain ``Fraction``s: nothing in the algebra involves pi.
+``Scalar``, a rational times an integer power of pi, is the coefficient
+type of trace expressions, where the sphere moments bring pi in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 KIND_RANK = {"H": 0, "Hinv": 1, "T": 2, "X": 3}
-
-ScalarLike = Union["Scalar", int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -71,17 +70,12 @@ class Scalar:
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
-    def __mul__(self, other: ScalarLike) -> "Scalar":
-        other = as_scalar(other)
-        return Scalar(self.q * other.q, self.pi + other.pi)
+    def __mul__(self, other: "Scalar | int | Fraction") -> "Scalar":
+        if isinstance(other, Scalar):
+            return Scalar(self.q * other.q, self.pi + other.pi)
+        return Scalar(self.q * other, self.pi)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> "Scalar":
-        other = as_scalar(other)
-        if other.q == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar(self.q / other.q, self.pi - other.pi)
 
     def __float__(self) -> float:
         import math
@@ -90,15 +84,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.q}, pi={self.pi})"
-
-
-ONE = Scalar(Fraction(1))
-
-
-def as_scalar(x: ScalarLike) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    return Scalar(Fraction(x))
 
 
 @dataclass(frozen=True, order=False)
@@ -193,7 +178,7 @@ def _bump(deriv: tuple[int, ...], axis: int) -> tuple[int, ...]:
 
 
 class NCPoly:
-    """Finite scalar combination of normalized words.
+    """Finite rational combination of normalized words.
 
     The constructor normalizes every key and merges keys that become
     equal, so no caller can store a non-normal word.
@@ -201,16 +186,16 @@ class NCPoly:
 
     __slots__ = ("d", "terms")
 
-    def __init__(self, d: int, terms: dict[Word, Scalar] | None = None):
+    def __init__(self, d: int, terms: dict[Word, int | Fraction] | None = None):
         self.d = d
-        self.terms: dict[Word, Scalar] = {}
+        self.terms: dict[Word, Fraction] = {}
         if terms:
             for word, sc in terms.items():
-                _accumulate(self.terms, normalize_word(word), sc)
+                _accumulate(self.terms, normalize_word(word), Fraction(sc))
 
     @classmethod
-    def _trusted(cls, d: int, terms: dict[Word, Scalar]) -> "NCPoly":
-        """Wrap a dict of normal words and nonzero scalars as is."""
+    def _trusted(cls, d: int, terms: dict[Word, Fraction]) -> "NCPoly":
+        """Wrap a dict of normal words and nonzero Fractions as is."""
         p = cls.__new__(cls)
         p.d = d
         p.terms = terms
@@ -222,11 +207,13 @@ class NCPoly:
 
     @classmethod
     def one(cls, d: int) -> "NCPoly":
-        return cls(d, {(): ONE})
+        return cls(d, {(): 1})
 
     @classmethod
-    def from_word(cls, d: int, word: Iterable[Letter], coef: ScalarLike = 1) -> "NCPoly":
-        coef = as_scalar(coef)
+    def from_word(
+        cls, d: int, word: Iterable[Letter], coef: int | Fraction = 1
+    ) -> "NCPoly":
+        coef = Fraction(coef)
         return cls._trusted(d, {normalize_word(word): coef} if coef else {})
 
     def is_zero(self) -> bool:
@@ -260,7 +247,7 @@ class NCPoly:
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, NCPoly):
             self._check(other)
-            out: dict[Word, Scalar] = {}
+            out: dict[Word, Fraction] = {}
             for w1, s1 in self.terms.items():
                 for w2, s2 in other.terms.items():
                     _accumulate(out, _join(w1, w2), s1 * s2)
@@ -271,11 +258,11 @@ class NCPoly:
         # scalars commute with everything, so left and right scaling agree
         return self.scale(other)
 
-    def scale(self, c: ScalarLike) -> "NCPoly":
-        c = as_scalar(c)
+    def scale(self, c: int | Fraction) -> "NCPoly":
+        c = Fraction(c)
         if not c:
             return NCPoly.zero(self.d)
-        if c == ONE:
+        if c == 1:
             return self
         return NCPoly._trusted(self.d, {w: sc * c for w, sc in self.terms.items()})
 
@@ -288,7 +275,7 @@ class NCPoly:
         if not 1 <= axis <= self.d:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
         dh = Letter("H", _bump((0,) * self.d, axis))
-        out: dict[Word, Scalar] = {}
+        out: dict[Word, Fraction] = {}
         for word, sc in self.terms.items():
             for i, let in enumerate(word):
                 if let.kind == "Hinv":
@@ -306,7 +293,7 @@ class NCPoly:
         sorted into the canonical letter order.  Derived letters are kept
         as opaque commuting symbols.
         """
-        out: dict[Word, Scalar] = {}
+        out: dict[Word, Fraction] = {}
         for word, sc in self.terms.items():
             rest = []
             net = 0
@@ -327,7 +314,7 @@ class NCPoly:
         return f"NCPoly({self.d}, {format_poly(self)!r})"
 
 
-def _accumulate(terms: dict[Word, Scalar], word: Word, sc: Scalar):
+def _accumulate(terms: dict[Word, Fraction], word: Word, sc: Fraction):
     if not sc:
         return
     cur = terms.get(word)
@@ -356,8 +343,8 @@ class Algebra:
     def one(self) -> NCPoly:
         return NCPoly.one(self.d)
 
-    def scalar(self, q, pi: int = 0) -> NCPoly:
-        return NCPoly(self.d, {(): Scalar(Fraction(q), pi)})
+    def scalar(self, q: int | Fraction) -> NCPoly:
+        return NCPoly(self.d, {(): q})
 
     def h(self) -> NCPoly:
         return NCPoly.from_word(self.d, (Letter("H", self._zero_deriv),))
@@ -454,16 +441,16 @@ def format_poly(p: NCPoly) -> str:
     for word in sorted(p.terms, key=word_sort_key):
         sc = p.terms[word]
         body = format_word(word)
-        coef = format_scalar(sc if sc.q > 0 else -sc)
+        coef = str(abs(sc))
         if coef == "1" and word:
             text = body
         elif not word:
             text = coef
         else:
             text = f"{coef}*{body}"
-        sign = " + " if sc.q > 0 else " - "
+        sign = " + " if sc > 0 else " - "
         if not chunks:
-            chunks.append(("-" if sc.q < 0 else "") + text)
+            chunks.append(("-" if sc < 0 else "") + text)
         else:
             chunks.append(sign + text)
     return "".join(chunks)

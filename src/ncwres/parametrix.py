@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncalg import Algebra, Letter, NCPoly, Scalar
+from .ncalg import Algebra, Letter, NCPoly
 from .symcalc import (
     Symbol,
     XiMonomial,
@@ -101,7 +101,7 @@ def invert_leading(a: Symbol) -> Symbol:
     flipped = tuple(
         Letter("Hinv" if let.kind == "H" else "H", (0,) * d) for let in reversed(word)
     )
-    inv = NCPoly.from_word(d, flipped, Scalar(1 / sc.q, -sc.pi))
+    inv = NCPoly.from_word(d, flipped, 1 / sc)
     return Symbol(d, {XiMonomial((0,) * d, -1): inv})
 
 
@@ -191,7 +191,7 @@ def closed_form_b2(spec: OperatorSpec) -> Symbol:
         acc = acc + b0.partial_xi(j).pointwise_mul(a1.derive(j))
         acc = acc + b1.partial_xi(j).pointwise_mul(a2.derive(j))
     for gamma in multi_indices(spec.d, 2):
-        inv = Scalar(Fraction(1, _gamma_factorial(gamma)))
+        inv = Fraction(1, _gamma_factorial(gamma))
         acc = acc + _apply_gamma(b0, gamma, xi_side=True).pointwise_mul(
             _apply_gamma(a2, gamma, xi_side=False)
         ).scale(inv)

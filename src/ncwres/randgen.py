@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fourier_oracle import Assignment, FourierElement, ThetaMatrix
-from .ncalg import Letter, NCPoly, Scalar
+from .ncalg import Letter, NCPoly
 from .symcalc import Symbol, XiMonomial, multi_indices
 
 THETA_MODES = ("zero", "rational", "irrational")
@@ -48,7 +48,7 @@ def random_poly(
         length = int(rng.integers(1, max_len + 1))
         word = tuple(random_letter(d, rng, max_order) for _ in range(length))
         q = Fraction(int(rng.integers(-3, 4)) or 1, int(rng.integers(1, 4)))
-        out = out + NCPoly.from_word(d, word, Scalar(q))
+        out = out + NCPoly.from_word(d, word, q)
     return out
 
 

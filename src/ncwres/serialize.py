@@ -49,18 +49,22 @@ def _word_from_json(items: list) -> tuple[Letter, ...]:
 
 
 def poly_to_json(p: NCPoly) -> dict:
+    """Rational coefficients in the scalar shape, with ``"pi": 0``."""
     terms = []
     for word in sorted(p.terms, key=word_sort_key):
-        terms.append({"coef": scalar_to_json(p.terms[word]), "word": _word_to_json(word)})
+        terms.append(
+            {"coef": scalar_to_json(Scalar(p.terms[word])), "word": _word_to_json(word)}
+        )
     return {"terms": terms}
 
 
 def poly_from_json(obj: dict, d: int) -> NCPoly:
     out = NCPoly.zero(d)
     for term in obj["terms"]:
-        out = out + NCPoly.from_word(
-            d, _word_from_json(term["word"]), scalar_from_json(term["coef"])
-        )
+        if term["coef"]["pi"]:
+            raise ValueError("polynomial coefficients are rational; pi is not allowed")
+        q = scalar_from_json(term["coef"]).q
+        out = out + NCPoly.from_word(d, _word_from_json(term["word"]), q)
     return out
 
 

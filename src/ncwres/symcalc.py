@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .ncalg import NCPoly, Scalar, as_scalar, format_poly
+from .ncalg import NCPoly, format_poly
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ class Symbol:
     def __sub__(self, other: "Symbol") -> "Symbol":
         return self + (-other)
 
-    def scale(self, c) -> "Symbol":
-        c = as_scalar(c)
+    def scale(self, c: int | Fraction) -> "Symbol":
         return Symbol(self.d, {mono: coef.scale(c) for mono, coef in self.terms.items()})
 
     def derive(self, axis: int) -> "Symbol":
@@ -244,10 +243,10 @@ def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
     g = 0
     while level:
         for gamma, (dp, dq) in sorted(level.items()):
-            inv = Scalar(Fraction(1, _gamma_factorial(gamma)))
+            inv = Fraction(1, _gamma_factorial(gamma))
             piece = dp.pointwise_mul(dq, lo, hi)
             for mono, coef in piece.terms.items():
-                _acc(acc, mono, coef if inv.q == 1 else coef.scale(inv))
+                _acc(acc, mono, coef.scale(inv))
         g += 1
         nxt: dict[tuple[int, ...], tuple[Symbol, Symbol]] = {}
         for gamma in multi_indices(d, g):

@@ -104,12 +104,11 @@ class TraceExpression:
 
     @classmethod
     def from_poly(cls, p: NCPoly) -> "TraceExpression":
-        out: dict[TraceWord, Scalar] = {}
-        for word, sc in p.terms.items():
+        out: dict[TraceWord, Fraction] = {}
+        for word, q in p.terms.items():
             tw = TraceWord.make(word)
-            cur = out.get(tw)
-            out[tw] = sc if cur is None else cur + sc
-        return cls(p.d, out)
+            out[tw] = out.get(tw, 0) + q
+        return cls(p.d, {tw: Scalar(q) for tw, q in out.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -141,19 +140,12 @@ class TraceExpression:
     def __sub__(self, other: "TraceExpression") -> "TraceExpression":
         return self + (-other)
 
-    def scale(self, c) -> "TraceExpression":
-        from .ncalg import as_scalar
-
-        c = as_scalar(c)
+    def scale(self, c: Scalar | int | Fraction) -> "TraceExpression":
+        if not isinstance(c, Scalar):
+            c = Scalar(c)
         if not c:
             return TraceExpression.zero(self.d)
         return TraceExpression(self.d, {tw: sc * c for tw, sc in self.terms.items()})
-
-    def max_order(self) -> int:
-        return max((tw.order for tw in self.terms), default=0)
-
-    def max_len(self) -> int:
-        return max((len(tw) for tw in self.terms), default=0)
 
     def __repr__(self) -> str:
         return f"TraceExpression({self.d}, {format_trace_expression(self)!r})"
@@ -273,9 +265,9 @@ class ReductionSystem(Echelon):
         """Row for t(d_axis(gen)) = 0."""
         dp = NCPoly.from_word(self.d, gen.word).derive(axis)
         row: dict[TraceWord, Fraction] = {}
-        for word, sc in dp.terms.items():
+        for word, q in dp.terms.items():
             tw = self._canon(word)
-            row[tw] = row.get(tw, Fraction(0)) + sc.q
+            row[tw] = row.get(tw, Fraction(0)) + q
         return {tw: q for tw, q in row.items() if q}
 
     def _lowerings(self, tw: TraceWord) -> list[TraceWord]:

@@ -18,10 +18,10 @@ from .fourier_oracle import Assignment, FourierElement, ThetaMatrix, gamma_sum_e
 from .ncalg import Algebra, Scalar
 from .parametrix import (
     OperatorSpec,
+    ParametrixResult,
     closed_form_b1,
     closed_form_b2,
     laplace_symbol,
-    parametrix_series,
     parametrix_terms,
 )
 from .randgen import random_assignment, random_probe_pair
@@ -92,23 +92,20 @@ def _dichotomy(d: int, table: SphereIntegralTable) -> dict:
     )
 
 
-def _defect(spec: OperatorSpec) -> dict:
-    a = laplace_symbol(spec)
-    res = parametrix_terms(a, spec.d - 2)
+def _defect(res: ParametrixResult) -> dict:
     ok = res.defect.is_zero()
     return _check(
         "composition-defect",
         ok,
-        f"b0..b{spec.d - 2} cancel the symbol product to the computed depth"
+        f"b0..b{len(res.terms) - 1} cancel the symbol product to the computed depth"
         if ok
         else f"surviving degrees {res.defect.degrees()}",
     )
 
 
-def _closed_forms(spec: OperatorSpec) -> dict:
-    terms = parametrix_series(laplace_symbol(spec), 2)
-    ok1 = terms[1] == closed_form_b1(spec)
-    ok2 = terms[2] == closed_form_b2(spec)
+def _closed_forms(spec: OperatorSpec, res: ParametrixResult) -> dict:
+    ok1 = res.terms[1] == closed_form_b1(spec)
+    ok2 = res.terms[2] == closed_form_b2(spec)
     return _check(
         "closed-form-vs-recursion",
         ok1 and ok2,
@@ -223,11 +220,14 @@ def minimality_report(d: int = 4) -> dict:
 def run_verification(d: int = 4, seed: int = 0, inject_sphere_fault: bool = False) -> dict:
     table = poisoned_table(d) if inject_sphere_fault else SphereIntegralTable(d)
     spec = OperatorSpec(d=d, include_t=True, include_x=True)
+    # one recursion serves both the defect (depth d - 2) and the closed
+    # forms (b1 and b2)
+    res = parametrix_terms(laplace_symbol(spec), max(d - 2, 2))
     checks = [
         _moment_partition(d, table),
         _dichotomy(d, table),
-        _defect(spec),
-        _closed_forms(spec),
+        _defect(res),
+        _closed_forms(spec, res),
         _trace_property(d, seed, table),
     ]
     if d == 4:

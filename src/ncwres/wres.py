@@ -88,9 +88,11 @@ def wres_inverse_power(
 
     The parametrix is expanded to order n (default d - 2*power, the
     deepest term any factor passes to degree -d), composed with itself
-    power-1 times, and integrated.  Truncation at -d is safe: composition
-    only lowers degree.  The last product keeps degree -d alone, the only
-    degree the residue reads; no composition defect is formed.
+    power-1 times, and integrated.  Every factor has top degree -2, so
+    with r factors still to come only degrees >= -d + 2r can reach -d;
+    each product keeps that band.  The last product (r = 0) keeps degree
+    -d alone, the only degree the residue reads; no composition defect is
+    formed.
     """
     if power < 1:
         raise ValueError("power must be at least 1")
@@ -99,7 +101,8 @@ def wres_inverse_power(
     total = sum(parametrix_series(laplace_symbol(spec), depth), Symbol.zero(d))
     s = total
     for k in range(1, power):
-        s = compose(s, total, -d, -d if k == power - 1 else None)
+        rest = power - 1 - k
+        s = compose(s, total, -d + 2 * rest, None if rest else -d)
     return wodzicki_residue(s, table)
 
 

@@ -94,6 +94,25 @@ def test_verify_reports_minimality(capsys):
     assert "residue-minimal with torsion: no" in out
 
 
+def test_verify_runs_one_recursion(capsys, monkeypatch):
+    from ncwres import parametrix
+
+    depths = []
+    series = parametrix.parametrix_series
+
+    def counted(a, n, side="left"):
+        depths.append(n)
+        return series(a, n, side)
+
+    monkeypatch.setattr(parametrix, "parametrix_series", counted)
+    code, out, _ = run(capsys, "verify", "--d", "2", "--format", "json")
+    assert code == 0
+    # one run serves the defect and the b1/b2 closed forms
+    assert depths == [2]
+    (defect,) = [c for c in json.loads(out)["checks"] if c["name"] == "composition-defect"]
+    assert defect["detail"].startswith("b0..b2 ")
+
+
 def test_oracle_check_seeded(capsys):
     code, out, _ = run(capsys, "oracle-check", "--seed", "5", "--format", "json")
     assert code == 0

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncwres.ncalg import Algebra, NCPoly, Scalar
+from ncwres.ncalg import Algebra, NCPoly
 from ncwres.parametrix import (
     OperatorSpec,
     ParametrixResult,
@@ -108,7 +108,7 @@ def frozen_b2():
     sym = Symbol.zero(D)
     coef4 = ALG.zero()
     for k in range(1, D + 1):
-        coef4 = coef4 + U * ALG.t(k).derive(k) * U * Scalar(Fraction(1, 2)) + U * ALG.t(
+        coef4 = coef4 + U * ALG.t(k).derive(k) * U * Fraction(1, 2) + U * ALG.t(
             k
         ) * w(k)
     coef4 = coef4 + U * ALG.x() * U
@@ -163,7 +163,7 @@ def test_flat_torsion_b2():
     )
     assert res.terms[1] == want1
     want2 = Symbol.zero(D)
-    half = Scalar(Fraction(1, 2))
+    half = Fraction(1, 2)
     for k in range(1, D + 1):
         want2 = want2 + Symbol(
             D, {XiMonomial(unit(), -2): -(ALG.t(k).derive(k).scale(half))}
@@ -231,6 +231,6 @@ def test_symbol_matches_operator_composition():
         total = total + symbol_product(p, inner, low)
         t_a = Symbol.from_poly(ALG.t(a))
         mixed = symbol_product(t_a, xi_a, low) + symbol_product(xi_a, t_a, low)
-        total = total + mixed.scale(Scalar(Fraction(1, 2)))
+        total = total + mixed.scale(Fraction(1, 2))
     total = total + Symbol.from_poly(ALG.x())
     assert expand_norm(laplace_symbol(spec)) == total

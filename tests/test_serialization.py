@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,12 +51,10 @@ scalars = st.builds(
 words = st.lists(letters, max_size=4).map(tuple)
 
 
-def _build_poly(pairs, pi):
-    # one pi power per poly: adding equal words with mixed pi powers
-    # is rejected by design, so the strategy must not produce it
+def _build_poly(pairs):
     out = NCPoly.zero(D)
     for w, q in pairs:
-        out = out + NCPoly.from_word(D, w, Scalar(q, pi))
+        out = out + NCPoly.from_word(D, w, q)
     return out
 
 
@@ -65,7 +64,6 @@ polys = st.builds(
         st.tuples(words, st.fractions(min_value=-5, max_value=5, max_denominator=12)),
         max_size=4,
     ),
-    st.integers(-2, 2),
 )
 
 
@@ -86,9 +84,11 @@ def test_poly_round_trip(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys)
-def test_trace_expression_round_trip(p):
-    e = trace(p)
+@given(polys, st.integers(-2, 2))
+def test_trace_expression_round_trip(p, pi):
+    # one pi power per expression: adding equal words with mixed pi
+    # powers is rejected by design, so the strategy must not produce it
+    e = trace(p).scale(Scalar(1, pi))
     obj = trace_expression_to_json(e)
     back = trace_expression_from_json(obj, D)
     assert back == e
@@ -102,11 +102,10 @@ pair_lists = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(pair_lists, pair_lists, st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2))
-def test_symbol_round_trip(pairs1, pairs2, pi, m, a1, a2):
-    # shared pi so that coinciding monomial keys can merge
-    p = _build_poly(pairs1, pi)
-    q = _build_poly(pairs2, pi)
+@given(pair_lists, pair_lists, st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2))
+def test_symbol_round_trip(pairs1, pairs2, m, a1, a2):
+    p = _build_poly(pairs1)
+    q = _build_poly(pairs2)
     s = Symbol.from_poly(p, alpha=(a1, a2), m=m) + Symbol.from_poly(q, alpha=None)
     obj = symbol_to_json(s)
     assert symbol_from_json(obj, D) == s
@@ -138,10 +137,22 @@ def test_poly_json_shape_is_exact():
             }
         ]
     }
-    q = alg.t(1).scale(Scalar(Fraction(-3, 4), 2))
+    q = alg.t(1).scale(Fraction(-3, 4))
     tj = poly_to_json(q)["terms"][0]
+    assert tj["coef"] == {"num": -3, "den": 4, "pi": 0}
+    assert tj["word"] == [{"base": "T", "deriv": [0, 0], "axis": 1}]
+    e = trace(alg.t(1)).scale(Scalar(Fraction(-3, 4), 2))
+    tj = trace_expression_to_json(e)["terms"][0]
     assert tj["coef"] == {"num": -3, "den": 4, "pi": 2}
     assert tj["word"] == [{"base": "T", "deriv": [0, 0], "axis": 1}]
+    assert tj["trace"] is True
+
+
+def test_poly_from_json_rejects_pi():
+    obj = poly_to_json(Algebra(2).h())
+    obj["terms"][0]["coef"]["pi"] = 2
+    with pytest.raises(ValueError):
+        poly_from_json(obj, D)
 
 
 def test_assignment_round_trip():

@@ -194,7 +194,7 @@ def polys(draw):
     n = draw(st.integers(1, 3))
     terms = {}
     for _ in range(n):
-        terms[normalize_word(draw(words))] = Scalar(draw(coefs))
+        terms[normalize_word(draw(words))] = draw(coefs)
     return NCPoly(D, terms)
 
 

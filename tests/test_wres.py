@@ -215,3 +215,27 @@ def test_last_product_band_is_the_residue_degree(d, power):
     assert band == full
     # same monomial order, so residues come out term for term alike
     assert list(band.terms) == list(full.terms)
+
+
+@pytest.mark.parametrize(
+    "d, power, torsion", [(6, 3, True), (8, 4, False), (8, 4, True)]
+)
+def test_tight_power_band_keeps_the_residue(d, power, torsion):
+    # reference: every intermediate product keeps all degrees >= -d
+    spec = OperatorSpec(d=d, include_t=torsion)
+    total = sum(parametrix_series(laplace_symbol(spec), d - 2 * power), Symbol.zero(d))
+    s = total
+    for _ in range(power - 1):
+        s = compose(s, total, -d)
+    want = wodzicki_residue(s)
+    assert not want.is_zero()
+    assert wres_inverse_power(spec, power) == want
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_volume_residue(d, torsion):
+    # Wres(Delta^(-d/2)) = Vol(S^(d-1)) t[h^d], exactly and before any reduction
+    got = wres_inverse_power(OperatorSpec(d=d, include_t=torsion), d // 2)
+    vol = sphere_integral((0,) * d)
+    assert got == trace(Algebra(d).h_power(d)).scale(vol)
