@@ -27,6 +27,11 @@ class therefore skip both the re-normalization and the re-filter.
 Coefficients are plain ``Fraction``s: nothing in the algebra involves pi.
 ``Scalar``, a rational times an integer power of pi, is the coefficient
 type of trace expressions, where the sphere moments bring pi in.
+
+``Combination`` is the one additive core: ``NCPoly`` here, ``Symbol`` and
+``TraceExpression`` elsewhere are finite sums of keys with nonzero
+coefficients, and share zero, equality, sum, negation and scaling.
+``_accumulate`` is the one sparse merge all three build their results with.
 """
 
 from __future__ import annotations
@@ -177,14 +182,87 @@ def _bump(deriv: tuple[int, ...], axis: int) -> tuple[int, ...]:
     return deriv[: axis - 1] + (deriv[axis - 1] + 1,) + deriv[axis:]
 
 
-class NCPoly:
+def _accumulate(terms: dict, key, value):
+    """Add ``value`` into ``terms[key]``, keeping no falsy entry."""
+    if not value:
+        return
+    cur = terms.get(key)
+    if cur is None:
+        terms[key] = value
+        return
+    total = cur + value
+    if total:
+        terms[key] = total
+    else:
+        del terms[key]
+
+
+class Combination:
+    """Finite sum: ``terms`` maps distinct keys to nonzero coefficients.
+
+    The one additive core of ``NCPoly``, ``Symbol`` and
+    ``TraceExpression``.  Each subclass keeps its own validating
+    constructor; results built here from valid operands go through
+    ``_trusted`` and skip those checks.
+    """
+
+    __slots__ = ("d", "terms")
+    __hash__ = None
+
+    @classmethod
+    def _trusted(cls, d: int, terms: dict):
+        """Wrap a dict of valid keys and nonzero coefficients as is."""
+        c = cls.__new__(cls)
+        c.d = d
+        c.terms = terms
+        return c
+
+    @classmethod
+    def zero(cls, d: int):
+        return cls._trusted(d, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.d == other.d and self.terms == other.terms
+
+    def _check(self, other: "Combination"):
+        if self.d != other.d:
+            raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            _accumulate(out, key, value)
+        return self._trusted(self.d, out)
+
+    def __neg__(self):
+        return self._trusted(self.d, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if not c:
+            return self.zero(self.d)
+        return self._trusted(self.d, {k: v * c for k, v in self.terms.items()})
+
+
+class NCPoly(Combination):
     """Finite rational combination of normalized words.
 
     The constructor normalizes every key and merges keys that become
     equal, so no caller can store a non-normal word.
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ()
 
     def __init__(self, d: int, terms: dict[Word, int | Fraction] | None = None):
         self.d = d
@@ -192,18 +270,6 @@ class NCPoly:
         if terms:
             for word, sc in terms.items():
                 _accumulate(self.terms, normalize_word(word), Fraction(sc))
-
-    @classmethod
-    def _trusted(cls, d: int, terms: dict[Word, Fraction]) -> "NCPoly":
-        """Wrap a dict of normal words and nonzero Fractions as is."""
-        p = cls.__new__(cls)
-        p.d = d
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls, d: int) -> "NCPoly":
-        return cls(d)
 
     @classmethod
     def one(cls, d: int) -> "NCPoly":
@@ -216,33 +282,9 @@ class NCPoly:
         coef = Fraction(coef)
         return cls._trusted(d, {normalize_word(word): coef} if coef else {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("NCPoly is mutable in spirit; use its terms dict")
-
-    def _check(self, other: "NCPoly"):
-        if self.d != other.d:
-            raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for word, sc in other.terms.items():
-            _accumulate(out, word, sc)
-        return NCPoly._trusted(self.d, out)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly._trusted(self.d, {w: -sc for w, sc in self.terms.items()})
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
+    # bound here, not inherited: perfbench's tracer patches the class __dict__
+    __add__ = Combination.__add__
+    __neg__ = Combination.__neg__
 
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, NCPoly):
@@ -312,20 +354,6 @@ class NCPoly:
 
     def __repr__(self) -> str:
         return f"NCPoly({self.d}, {format_poly(self)!r})"
-
-
-def _accumulate(terms: dict[Word, Fraction], word: Word, sc: Fraction):
-    if not sc:
-        return
-    cur = terms.get(word)
-    if cur is None:
-        terms[word] = sc
-        return
-    total = cur + sc
-    if total:
-        terms[word] = total
-    else:
-        del terms[word]
 
 
 class Algebra:

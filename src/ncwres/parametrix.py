@@ -48,6 +48,11 @@ class OperatorSpec:
     flat: bool = False
 
     def __post_init__(self):
+        if type(self.d) is not int:
+            raise ValueError(f"dimension must be an int, not {self.d!r}")
+        for name in ("include_t", "include_x", "flat"):
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"{name} must be true or false")
         if self.d < 2 or self.d % 2:
             raise ValueError("dimension must be even and at least 2")
 

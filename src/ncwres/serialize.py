@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .ncalg import Letter, NCPoly, Scalar, Word, word_sort_key
+from .ncalg import Letter, NCPoly, Scalar, Word, _accumulate, word_sort_key
 from .symcalc import Symbol, XiMonomial
 from .trace import TraceExpression, TraceWord
 
@@ -107,8 +107,7 @@ def symbol_from_json(obj: dict, d: int) -> Symbol:
             mono = XiMonomial(tuple(it["alpha"]), it["m"])
             if mono.degree != int(key):
                 raise ValueError(f"term of degree {mono.degree} filed under {key}")
-            coef = poly_from_json(it["coef"], d)
-            terms[mono] = terms[mono] + coef if mono in terms else coef
+            _accumulate(terms, mono, poly_from_json(it["coef"], d))
     return Symbol(d, terms)
 
 

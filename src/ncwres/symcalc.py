@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .ncalg import NCPoly, format_poly
+from .ncalg import Combination, NCPoly, _accumulate, format_poly
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ def _unit(d: int, axis: int) -> tuple[int, ...]:
     return tuple(1 if i == axis - 1 else 0 for i in range(d))
 
 
-class Symbol:
+class Symbol(Combination):
     """Finite sum of xi-monomials with NCPoly coefficients."""
 
-    __slots__ = ("d", "terms")
+    __slots__ = ()
 
     def __init__(self, d: int, terms: dict[XiMonomial, NCPoly] | None = None):
         self.d = d
@@ -78,10 +78,6 @@ class Symbol:
                     self.terms[mono] = coef
 
     @classmethod
-    def zero(cls, d: int) -> "Symbol":
-        return cls(d)
-
-    @classmethod
     def one(cls, d: int) -> "Symbol":
         return cls(d, {XiMonomial((0,) * d, 0): NCPoly.one(d)})
 
@@ -91,39 +87,6 @@ class Symbol:
     ) -> "Symbol":
         alpha = alpha if alpha is not None else (0,) * coef.d
         return cls(coef.d, {XiMonomial(alpha, m): coef})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("Symbol is not hashable")
-
-    def __add__(self, other: "Symbol") -> "Symbol":
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            cur = out.get(mono)
-            total = coef if cur is None else cur + coef
-            if total.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = total
-        return Symbol(self.d, out)
-
-    def __neg__(self) -> "Symbol":
-        return Symbol(self.d, {mono: -c for mono, c in self.terms.items()})
-
-    def __sub__(self, other: "Symbol") -> "Symbol":
-        return self + (-other)
-
-    def scale(self, c: int | Fraction) -> "Symbol":
-        return Symbol(self.d, {mono: coef.scale(c) for mono, coef in self.terms.items()})
 
     def derive(self, axis: int) -> "Symbol":
         """Torus derivation applied to every coefficient; xi is untouched."""
@@ -140,13 +103,13 @@ class Symbol:
                 down = XiMonomial(
                     tuple(x - y for x, y in zip(mono.alpha, e)), mono.m
                 )
-                _acc(out, down, coef.scale(a))
+                _accumulate(out, down, coef.scale(a))
             if mono.m:
                 up = XiMonomial(
                     tuple(x + y for x, y in zip(mono.alpha, e)), mono.m - 1
                 )
-                _acc(out, up, coef.scale(2 * mono.m))
-        return Symbol(self.d, out)
+                _accumulate(out, up, coef.scale(2 * mono.m))
+        return Symbol._trusted(self.d, out)
 
     def pointwise_mul(
         self,
@@ -157,8 +120,7 @@ class Symbol:
         """Product at a frozen xi: coefficients multiply in order, xi
         exponents add.  Pairs landing below min_degree or above max_degree
         are skipped before their coefficients are multiplied."""
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
+        self._check(other)
         out: dict[XiMonomial, NCPoly] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -167,8 +129,8 @@ class Symbol:
                     continue
                 if max_degree is not None and deg > max_degree:
                     continue
-                _acc(out, m1 * m2, c1 * c2)
-        return Symbol(self.d, out)
+                _accumulate(out, m1 * m2, c1 * c2)
+        return Symbol._trusted(self.d, out)
 
     def degrees(self) -> list[int]:
         return sorted({mono.degree for mono in self.terms})
@@ -179,30 +141,19 @@ class Symbol:
         return max(mono.degree for mono in self.terms)
 
     def homogeneous_part(self, k: int) -> "Symbol":
-        return Symbol(
+        return Symbol._trusted(
             self.d,
             {mono: coef for mono, coef in self.terms.items() if mono.degree == k},
         )
 
     def truncate_below(self, min_degree: int) -> "Symbol":
-        return Symbol(
+        return Symbol._trusted(
             self.d,
             {m: c for m, c in self.terms.items() if m.degree >= min_degree},
         )
 
     def __repr__(self) -> str:
         return f"Symbol({self.d}, {format_symbol(self)!r})"
-
-
-def _acc(terms: dict[XiMonomial, NCPoly], mono: XiMonomial, coef: NCPoly):
-    if coef.is_zero():
-        return
-    cur = terms.get(mono)
-    total = coef if cur is None else cur + coef
-    if total.is_zero():
-        terms.pop(mono, None)
-    else:
-        terms[mono] = total
 
 
 def multi_indices(d: int, total: int) -> list[tuple[int, ...]]:
@@ -230,8 +181,7 @@ def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
     below lo - maxdeg(p) + g can no longer reach the band (d_xi lowers the
     degree by one, delta keeps it), so both are dropped before deriving.
     """
-    if p.d != q.d:
-        raise ValueError("dimension mismatch")
+    p._check(q)
     d = p.d
     if p.is_zero() or q.is_zero():
         return Symbol.zero(d)
@@ -246,7 +196,7 @@ def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
             inv = Fraction(1, _gamma_factorial(gamma))
             piece = dp.pointwise_mul(dq, lo, hi)
             for mono, coef in piece.terms.items():
-                _acc(acc, mono, coef.scale(inv))
+                _accumulate(acc, mono, coef.scale(inv))
         g += 1
         nxt: dict[tuple[int, ...], tuple[Symbol, Symbol]] = {}
         for gamma in multi_indices(d, g):
@@ -254,12 +204,13 @@ def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
             parent = tuple(k - 1 if i == axis - 1 else k for i, k in enumerate(gamma))
             if parent not in level:
                 continue  # nothing of this branch can reach the band
-            dp = level[parent][0].partial_xi(axis).truncate_below(p_floor)
+            # d_xi lowers every degree by one, so cut before deriving
+            dp = level[parent][0].truncate_below(p_floor + 1).partial_xi(axis)
             dq = level[parent][1].truncate_below(q_floor + g).derive(axis)
             if not (dp.is_zero() or dq.is_zero()):
                 nxt[gamma] = (dp, dq)
         level = nxt
-    return Symbol(d, acc)
+    return Symbol._trusted(d, acc)
 
 
 def symbol_product(p: Symbol, q: Symbol, min_degree: int) -> Symbol:
@@ -278,7 +229,7 @@ def expand_norm(s: Symbol) -> Symbol:
         if mono.m < 0:
             raise ValueError("cannot expand a negative norm power")
         if mono.m == 0:
-            _acc(out, mono, coef)
+            _accumulate(out, mono, coef)
             continue
         scale = factorial(mono.m)
         for beta in multi_indices(s.d, mono.m):
@@ -286,8 +237,8 @@ def expand_norm(s: Symbol) -> Symbol:
             key = XiMonomial(
                 tuple(a + 2 * b for a, b in zip(mono.alpha, beta)), 0
             )
-            _acc(out, key, coef.scale(c))
-    return Symbol(s.d, out)
+            _accumulate(out, key, coef.scale(c))
+    return Symbol._trusted(s.d, out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .ncalg import (
+    Combination,
     Letter,
     NCPoly,
     Scalar,
     Word,
+    _accumulate,
     _cancels,
     format_word,
     normalize_word,
@@ -81,14 +83,14 @@ def pivot_key(tw: TraceWord):
     return (tw.order, peak, len(word), tuple(let.sort_key() for let in word))
 
 
-class TraceExpression:
+class TraceExpression(Combination):
     """Finite scalar combination of canonical trace words.
 
     Each word carries a single exact scalar; summing terms whose pi powers
     differ on the same word is rejected rather than approximated.
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ()
 
     def __init__(self, d: int, terms: dict[TraceWord, Scalar] | None = None):
         self.d = d
@@ -99,53 +101,11 @@ class TraceExpression:
                     self.terms[tw] = sc
 
     @classmethod
-    def zero(cls, d: int) -> "TraceExpression":
-        return cls(d)
-
-    @classmethod
     def from_poly(cls, p: NCPoly) -> "TraceExpression":
         out: dict[TraceWord, Fraction] = {}
         for word, q in p.terms.items():
-            tw = TraceWord.make(word)
-            out[tw] = out.get(tw, 0) + q
-        return cls(p.d, {tw: Scalar(q) for tw, q in out.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TraceExpression):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("TraceExpression is not hashable")
-
-    def __add__(self, other: "TraceExpression") -> "TraceExpression":
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for tw, sc in other.terms.items():
-            cur = out.get(tw)
-            total = sc if cur is None else cur + sc
-            if total:
-                out[tw] = total
-            else:
-                out.pop(tw, None)
-        return TraceExpression(self.d, out)
-
-    def __neg__(self) -> "TraceExpression":
-        return TraceExpression(self.d, {tw: -sc for tw, sc in self.terms.items()})
-
-    def __sub__(self, other: "TraceExpression") -> "TraceExpression":
-        return self + (-other)
-
-    def scale(self, c: Scalar | int | Fraction) -> "TraceExpression":
-        if not isinstance(c, Scalar):
-            c = Scalar(c)
-        if not c:
-            return TraceExpression.zero(self.d)
-        return TraceExpression(self.d, {tw: sc * c for tw, sc in self.terms.items()})
+            _accumulate(out, TraceWord.make(word), q)
+        return cls._trusted(p.d, {tw: Scalar(q) for tw, q in out.items()})
 
     def __repr__(self) -> str:
         return f"TraceExpression({self.d}, {format_trace_expression(self)!r})"
@@ -165,10 +125,8 @@ def commutative_word(d: int, word: Word) -> Word:
 def commutative_image_expr(e: TraceExpression) -> TraceExpression:
     out: dict[TraceWord, Scalar] = {}
     for tw, sc in e.terms.items():
-        key = TraceWord.make(commutative_word(e.d, tw.word))
-        cur = out.get(key)
-        out[key] = sc if cur is None else cur + sc
-    return TraceExpression(e.d, out)
+        _accumulate(out, TraceWord.make(commutative_word(e.d, tw.word)), sc)
+    return TraceExpression._trusted(e.d, out)
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +191,12 @@ class ReductionSystem(Echelon):
     """Reduced row form of the integration-by-parts relations reachable
     from a set of seed words."""
 
-    def __init__(
-        self,
-        d: int,
-        seeds: Iterable[TraceWord],
-        max_order: int | None = None,
-        commutative: bool = False,
-    ):
+    def __init__(self, d: int, seeds: Iterable[TraceWord], commutative: bool = False):
         super().__init__(pivot_key)
         self.d = d
         self.commutative = commutative
         seed_list = sorted(set(seeds), key=pivot_key)
-        self.cap_ord = (
-            max_order
-            if max_order is not None
-            else max((tw.order for tw in seed_list), default=0)
-        )
+        self.cap_ord = max((tw.order for tw in seed_list), default=0)
         self.cap_len = max((len(tw) for tw in seed_list), default=0) + 1
         self._seen_words = set(seed_list)
         self._seen_gens: set[TraceWord] = set()
@@ -266,9 +214,8 @@ class ReductionSystem(Echelon):
         dp = NCPoly.from_word(self.d, gen.word).derive(axis)
         row: dict[TraceWord, Fraction] = {}
         for word, q in dp.terms.items():
-            tw = self._canon(word)
-            row[tw] = row.get(tw, Fraction(0)) + q
-        return {tw: q for tw, q in row.items() if q}
+            _accumulate(row, self._canon(word), q)
+        return row
 
     def _lowerings(self, tw: TraceWord) -> list[TraceWord]:
         out = set()
@@ -312,15 +259,11 @@ def _pi_sectors(e: TraceExpression) -> dict[int, dict[TraceWord, Fraction]]:
     return out
 
 
-def ibp_reduce(
-    e: TraceExpression,
-    max_order: int | None = None,
-    commutative: bool = False,
-) -> TraceExpression:
+def ibp_reduce(e: TraceExpression, commutative: bool = False) -> TraceExpression:
     """Canonical form of ``e`` modulo cyclicity and integration by parts."""
     if commutative:
         e = commutative_image_expr(e)
-    system = ReductionSystem(e.d, e.terms.keys(), max_order, commutative)
+    system = ReductionSystem(e.d, e.terms.keys(), commutative)
     out: dict[TraceWord, Scalar] = {}
     for pi, vec in sorted(_pi_sectors(e).items()):
         for tw, q in system.reduce_vector(vec).items():
@@ -330,12 +273,7 @@ def ibp_reduce(
     return TraceExpression(e.d, out)
 
 
-def trace_equal(
-    a: TraceExpression,
-    b: TraceExpression,
-    max_order: int | None = None,
-    commutative: bool = False,
-) -> bool:
+def trace_equal(a: TraceExpression, b: TraceExpression, commutative: bool = False) -> bool:
     """Whether a and b agree modulo cyclicity and integration by parts."""
     if a.d != b.d:
         return False
@@ -347,9 +285,9 @@ def trace_equal(
         for pi, vec in _pi_sectors(e).items():
             sector = diff.setdefault(pi, {})
             for tw, q in vec.items():
-                sector[tw] = sector.get(tw, Fraction(0)) + sign * q
+                _accumulate(sector, tw, sign * q)
     seeds = [tw for vec in diff.values() for tw in vec]
-    system = ReductionSystem(a.d, seeds, max_order, commutative)
+    system = ReductionSystem(a.d, seeds, commutative)
     return all(not system.reduce_vector(vec) for vec in diff.values())
 
 
@@ -363,7 +301,6 @@ def _uniform_pi(e: TraceExpression) -> int:
 def express_in_span(
     target: TraceExpression,
     shapes: Sequence[TraceExpression],
-    max_order: int | None = None,
     commutative: bool = False,
 ) -> list[Scalar] | None:
     """Exact coefficients writing ``target`` as a combination of ``shapes``
@@ -378,7 +315,7 @@ def express_in_span(
     pi_t = _uniform_pi(exprs[0])
     pi_s = [_uniform_pi(e) for e in exprs[1:]]
     seeds = [tw for e in exprs for tw in e.terms]
-    system = ReductionSystem(target.d, seeds, max_order, commutative)
+    system = ReductionSystem(target.d, seeds, commutative)
     target_vec, *shape_vecs = [
         system.reduce_vector({tw: sc.q for tw, sc in e.terms.items()}) for e in exprs
     ]

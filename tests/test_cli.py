@@ -209,11 +209,13 @@ def test_spec_file_configures_operator(capsys, tmp_path):
     assert code == 0
     assert out == "2*pi^2 * t[h^4]\n"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"d": 5}))
-    with pytest.raises(SystemExit) as exc:
-        main(["wres", "--spec", str(bad)])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for data in ({"d": 5}, {"d": 4.0}, {"d": True}, {"d": 4, "include_t": "no"}):
+        bad.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["wres", "--spec", str(bad)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ncwres: ") and err.count("\n") == 1
 
 
 ASSIGNMENT = "<assignment file>"

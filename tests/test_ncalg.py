@@ -13,9 +13,12 @@ from ncwres.ncalg import (
     format_scalar,
     format_word,
     normalize_word,
+    Combination,
     _cancels,
     _join,
 )
+from ncwres.symcalc import Symbol
+from ncwres.trace import TraceExpression, trace
 
 D = 2
 ALG = Algebra(D)
@@ -237,6 +240,50 @@ def test_poly_coefficients_reject_pi():
         NCPoly.from_word(D, (H0,), pi)
     with pytest.raises(TypeError):
         ALG.h().scale(pi)
+
+
+def _poly_pair(d):
+    alg = Algebra(d)
+    return alg.h() + alg.t(1).scale(3), alg.t(1) * alg.hinv() - alg.h()
+
+
+def _symbol_pair(d):
+    a, b = _poly_pair(d)
+    xi = tuple(1 if i == 0 else 0 for i in range(d))
+    return Symbol.from_poly(a, xi) + Symbol.from_poly(b), Symbol.from_poly(b, xi, 1)
+
+
+def _trace_pair(d):
+    a, b = _poly_pair(d)
+    pi = Scalar(Fraction(1), pi=1)
+    return trace(a).scale(pi), trace(b).scale(pi * Fraction(1, 2))
+
+
+COMBINATIONS = [(NCPoly, _poly_pair), (Symbol, _symbol_pair), (TraceExpression, _trace_pair)]
+
+
+@pytest.mark.parametrize("cls, pair", COMBINATIONS)
+def test_combination_contract(cls, pair):
+    a, b = pair(D)
+    assert isinstance(a, cls) and isinstance(a, Combination)
+    zero = cls.zero(D)
+    assert not zero and zero.is_zero()
+    assert a and not a.is_zero()
+    assert (a + (-a)).is_zero() and a + (-a) == zero
+    assert (a - b) + b == a
+    assert a.scale(0) == zero
+    wider = pair(D + 2)[0]
+    with pytest.raises(ValueError):
+        a + wider
+    with pytest.raises(ValueError):
+        a - wider
+    with pytest.raises(TypeError):
+        hash(a)
+    assert a != wider
+    # equal keys and coefficients never make two kinds of sum equal
+    for other_cls, other_pair in COMBINATIONS:
+        if other_cls is not cls:
+            assert a != other_pair(D)[0] and cls.zero(D) != other_cls.zero(D)
 
 
 def test_scale_by_one_returns_self():
