@@ -15,7 +15,8 @@ of the inverse is expanded eagerly via
 
 so derived inverses cannot appear.  The only rewrite rule is cancellation
 of adjacent underived ``H``/``Hinv`` pairs, which makes normal forms
-unique without any ordering choices between distinct letters.
+unique without any ordering choices between distinct letters.  Letters
+are interned, so words hash and compare letter by letter on identity.
 
 Invariant: every word stored in an ``NCPoly`` is normal.  The public
 constructor normalizes its keys, so the arithmetic can rely on it: a
@@ -36,7 +37,7 @@ coefficients, and share zero, equality, sum, negation and scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -91,50 +92,83 @@ class Scalar:
         return f"Scalar({self.q}, pi={self.pi})"
 
 
-@dataclass(frozen=True, order=False)
 class Letter:
     """A single generator, possibly derived.
 
     ``axis`` is the 1-based direction for ``T`` letters and None otherwise.
-    ``deriv`` has one nonnegative entry per torus direction.  ``order``
-    (the total derivative order) and the cancellation sign are derived
-    once here; equality and hashing use (kind, deriv, axis) only.
+    ``deriv`` has one nonnegative entry per torus direction.
+
+    Letters are interned: each distinct (kind, deriv, axis) is one object,
+    so equality and hashing are identity, which Python runs in C.  Derived
+    data is computed once per letter: ``order`` (the total derivative
+    order), the cancellation sign, the sort key and, filled in on first
+    use, the letter's derivative along each axis.  The intern table lives
+    as long as the process and holds one entry per distinct letter made.
     """
 
-    kind: str
-    deriv: tuple[int, ...]
-    axis: int | None = None
-    order: int = field(init=False, repr=False, compare=False)
-    # +1 for an underived h, -1 for h^-1, 2 otherwise: two adjacent
-    # letters cancel exactly when their signs sum to zero
-    _sign: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "deriv", "axis", "order", "_sign", "_key", "_up")
+    _interned: dict = {}
 
-    def __post_init__(self):
-        if self.kind not in KIND_RANK:
-            raise ValueError(f"unknown letter kind {self.kind!r}")
-        if (self.kind == "T") != (self.axis is not None):
+    def __new__(cls, kind: str, deriv: tuple[int, ...], axis: int | None = None):
+        key = (kind, deriv, axis)
+        let = cls._interned.get(key)
+        if let is not None:
+            return let
+        if kind not in KIND_RANK:
+            raise ValueError(f"unknown letter kind {kind!r}")
+        if (kind == "T") != (axis is not None):
             raise ValueError("axis is required for T letters and only for them")
-        if self.kind == "Hinv" and any(self.deriv):
+        if kind == "Hinv" and any(deriv):
             raise ValueError("derived inverse must be expanded, not stored")
-        if any(n < 0 for n in self.deriv):
+        if any(n < 0 for n in deriv):
             raise ValueError("derivative exponents must be nonnegative")
-        order = sum(self.deriv)
-        if self.kind == "Hinv":
+        order = sum(deriv)
+        # +1 for an underived h, -1 for h^-1, 2 otherwise: two adjacent
+        # letters cancel exactly when their signs sum to zero
+        if kind == "Hinv":
             sign = -1
-        elif self.kind == "H" and not order:
+        elif kind == "H" and not order:
             sign = 1
         else:
             sign = 2
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_sign", sign)
-        # letters are hashed constantly inside word dicts; cache it
-        object.__setattr__(self, "_hash", hash((self.kind, self.deriv, self.axis)))
+        let = object.__new__(cls)
+        for name, value in (
+            ("kind", kind),
+            ("deriv", deriv),
+            ("axis", axis),
+            ("order", order),
+            ("_sign", sign),
+            ("_key", (KIND_RANK[kind], axis or 0, deriv)),
+            ("_up", [None] * len(deriv)),
+        ):
+            object.__setattr__(let, name, value)
+        # setdefault is atomic, so racing threads still share one object
+        return cls._interned.setdefault(key, let)
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned letter")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an interned letter")
+
+    def __reduce__(self):
+        # copies and unpickled letters resolve to the interned object
+        return (Letter, (self.kind, self.deriv, self.axis))
+
+    def __repr__(self) -> str:
+        return f"Letter(kind={self.kind!r}, deriv={self.deriv!r}, axis={self.axis!r})"
 
     def sort_key(self):
-        return (KIND_RANK[self.kind], self.axis or 0, self.deriv)
+        return self._key
+
+    def derived(self, axis: int) -> "Letter":
+        """The letter derived once along the 1-based ``axis``."""
+        if not 1 <= axis <= len(self.deriv):
+            raise ValueError(f"axis {axis} out of range for d={len(self.deriv)}")
+        up = self._up[axis - 1]
+        if up is None:
+            up = self._up[axis - 1] = Letter(self.kind, _bump(self.deriv, axis), self.axis)
+        return up
 
 
 Word = tuple[Letter, ...]
@@ -166,7 +200,7 @@ def _join(w1: Word, w2: Word) -> Word:
     happen at the junction, and it runs outward from there.
     """
     i, j, n = len(w1), 0, len(w2)
-    while i and j < n and _cancels(w1[i - 1], w2[j]):
+    while i and j < n and w1[i - 1]._sign + w2[j]._sign == 0:
         i -= 1
         j += 1
     if not j:
@@ -175,11 +209,34 @@ def _join(w1: Word, w2: Word) -> Word:
 
 
 def word_sort_key(word: Word):
-    return (len(word), tuple(let.sort_key() for let in word))
+    return (len(word), tuple(let._key for let in word))
 
 
 def _bump(deriv: tuple[int, ...], axis: int) -> tuple[int, ...]:
     return deriv[: axis - 1] + (deriv[axis - 1] + 1,) + deriv[axis:]
+
+
+def _mul_into(out: dict[Word, Fraction], t1: dict, t2: dict, c: Fraction | None = None):
+    """Add c times the product of two word sums into ``out``.
+
+    ``t1`` and ``t2`` map normal words to nonzero coefficients; like
+    ``_accumulate``, the merge keeps no zero entry.
+    """
+    for w1, s1 in t1.items():
+        if c is not None:
+            s1 = s1 * c
+        for w2, s2 in t2.items():
+            key = _join(w1, w2)
+            value = s1 * s2
+            cur = out.get(key)
+            if cur is None:
+                out[key] = value
+                continue
+            value += cur
+            if value:
+                out[key] = value
+            else:
+                del out[key]
 
 
 def _accumulate(terms: dict, key, value):
@@ -290,9 +347,7 @@ class NCPoly(Combination):
         if isinstance(other, NCPoly):
             self._check(other)
             out: dict[Word, Fraction] = {}
-            for w1, s1 in self.terms.items():
-                for w2, s2 in other.terms.items():
-                    _accumulate(out, _join(w1, w2), s1 * s2)
+            _mul_into(out, self.terms, other.terms)
             return NCPoly._trusted(self.d, out)
         return self.scale(other)
 
@@ -316,7 +371,8 @@ class NCPoly(Combination):
         """
         if not 1 <= axis <= self.d:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
-        dh = Letter("H", _bump((0,) * self.d, axis))
+        dh = Letter("H", (0,) * self.d).derived(axis)
+        k = axis - 1
         out: dict[Word, Fraction] = {}
         for word, sc in self.terms.items():
             for i, let in enumerate(word):
@@ -324,7 +380,7 @@ class NCPoly(Combination):
                     new = word[:i] + (let, dh, let) + word[i + 1:]
                     _accumulate(out, new, -sc)
                 else:
-                    bumped = Letter(let.kind, _bump(let.deriv, axis), let.axis)
+                    bumped = let._up[k] or let.derived(axis)
                     _accumulate(out, word[:i] + (bumped,) + word[i + 1:], sc)
         return NCPoly._trusted(self.d, out)
 

@@ -16,9 +16,11 @@ dropping total degree by exactly one.  The composition product expands
 
     P # Q = sum_gamma (1/gamma!) (d_xi^gamma P) . (delta^gamma Q)
 
-with the coefficients of P kept to the left.  ``compose`` is its one
-implementation: it returns a band of degrees lo..hi, and pruning what can
-no longer reach the band also ends the gamma sum.
+with the coefficients of P kept to the left.  ``gamma_terms`` is its one
+expansion: it yields the live (gamma, d_xi^gamma P, delta^gamma Q) and
+prunes what can no longer reach the lowest wanted degree, which also ends
+the gamma sum.  ``compose`` sums those terms into a band of degrees
+lo..hi; the residue pass in ``wres`` traces them instead.
 """
 
 from __future__ import annotations
@@ -174,29 +176,27 @@ def _gamma_factorial(gamma: tuple[int, ...]) -> int:
     return out
 
 
-def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
-    """Degrees lo..hi of the composition P # Q (no upper cut when hi is None).
+def gamma_terms(p: Symbol, q: Symbol, lo: int):
+    """Yield (1/gamma!, d_xi^gamma P, delta^gamma Q) for every gamma whose
+    term can still reach degrees >= lo, in the order ``compose`` sums them.
 
     At level |gamma| = g, p-monomials below lo - maxdeg(q) and q-monomials
     below lo - maxdeg(p) + g can no longer reach the band (d_xi lowers the
-    degree by one, delta keeps it), so both are dropped before deriving.
+    degree by one, delta keeps it), so both are dropped before deriving;
+    a level with nothing left ends the sum.
     """
     p._check(q)
     d = p.d
     if p.is_zero() or q.is_zero():
-        return Symbol.zero(d)
+        return
     p_floor = lo - q.max_degree()
     q_floor = lo - p.max_degree()
-    acc: dict[XiMonomial, NCPoly] = {}
     # (d_xi^gamma p, delta^gamma q) for the live gammas of one level
     level = {(0,) * d: (p.truncate_below(p_floor), q.truncate_below(q_floor))}
     g = 0
     while level:
         for gamma, (dp, dq) in sorted(level.items()):
-            inv = Fraction(1, _gamma_factorial(gamma))
-            piece = dp.pointwise_mul(dq, lo, hi)
-            for mono, coef in piece.terms.items():
-                _accumulate(acc, mono, coef.scale(inv))
+            yield Fraction(1, _gamma_factorial(gamma)), dp, dq
         g += 1
         nxt: dict[tuple[int, ...], tuple[Symbol, Symbol]] = {}
         for gamma in multi_indices(d, g):
@@ -210,7 +210,16 @@ def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
             if not (dp.is_zero() or dq.is_zero()):
                 nxt[gamma] = (dp, dq)
         level = nxt
-    return Symbol._trusted(d, acc)
+
+
+def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
+    """Degrees lo..hi of the composition P # Q (no upper cut when hi is None)."""
+    acc: dict[XiMonomial, NCPoly] = {}
+    for inv, dp, dq in gamma_terms(p, q, lo):
+        piece = dp.pointwise_mul(dq, lo, hi)
+        for mono, coef in piece.terms.items():
+            _accumulate(acc, mono, coef.scale(inv))
+    return Symbol._trusted(p.d, acc)
 
 
 def symbol_product(p: Symbol, q: Symbol, min_degree: int) -> Symbol:

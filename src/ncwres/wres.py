@@ -11,17 +11,29 @@ times the moment
 which vanishes when any exponent is odd and is an exact rational multiple
 of pi^(d/2) when all are even (half-integer Gamma values pair up with the
 even dimension).  No 2pi normalization is applied.
+
+One routine reads residues.  It keeps one coefficient sum per alpha, for
+every norm power at once, and traces each sum once at the end.  A symbol
+feeds it its degree ``-d`` monomials (``wodzicki_residue``).  A product
+feeds it its gamma terms directly, so the product is never formed: a
+monomial pair is dropped before its coefficients are multiplied unless
+its degrees land on ``-d`` and the table gives its summed alpha a nonzero
+moment.  ``wres_inverse_power`` sends the product that reaches degree
+``-d`` through that fused pass.  The moments always come from the
+caller's table, overrides included, so an injected fault reaches the
+result exactly as it would through the full product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_series
-from .ncalg import NCPoly, Scalar
-from .symcalc import Symbol, XiMonomial, compose, symbol_product
-from .trace import TraceExpression, trace, trace_equal
+from .ncalg import NCPoly, Scalar, Word, _accumulate, _mul_into
+from .symcalc import Symbol, XiMonomial, compose, gamma_terms, symbol_product
+from .trace import TraceExpression, TraceWord, trace, trace_equal
 
 
 def sphere_integral(alpha: tuple[int, ...]) -> Scalar:
@@ -63,19 +75,84 @@ class SphereIntegralTable:
         return hit if hit is not None else sphere_integral(alpha)
 
 
+class _ResidueSum:
+    """Residue of (what is fed in) . tail, as per-alpha coefficient sums
+    that are traced once at the end.
+
+    ``tail`` is one monomial, or None for the identity.  On the sphere
+    |xi| = 1, so the monomials xi^alpha |xi|^(2m) for every m share the
+    moment of alpha, and one coefficient sum per alpha suffices.  An alpha
+    whose moment is zero in the table (overrides included) is refused
+    before anything is multiplied or summed.
+    """
+
+    def __init__(
+        self, d: int, table: SphereIntegralTable | None, tail: Symbol | None = None
+    ):
+        self.d = d
+        self.table = SphereIntegralTable(d) if table is None else table
+        self._moments: dict[tuple[int, ...], Scalar] = {}
+        self.sums: dict[tuple[int, ...], dict[Word, Fraction]] = {}
+        # the degree fed-in terms must have, the tail's alpha, and the
+        # tail's coefficient, which multiplies each sum on the right
+        self.band, self.shift, self.right = -d, (0,) * d, None
+        if tail is not None:
+            ((mono, self.right),) = tail.terms.items()
+            self.band, self.shift = -d - mono.degree, mono.alpha
+
+    def moment(self, alpha: tuple[int, ...]) -> Scalar:
+        m = self._moments.get(alpha)
+        if m is None:
+            m = self._moments[alpha] = self.table.get(alpha)
+        return m
+
+    def add_symbol(self, s: Symbol):
+        for mono, coef in s.terms.items():
+            if mono.degree != self.band:
+                continue
+            alpha = tuple(map(add, mono.alpha, self.shift))
+            if self.moment(alpha):
+                words = self.sums.setdefault(alpha, {})
+                for word, q in coef.terms.items():
+                    _accumulate(words, word, q)
+
+    def add_product(self, p: Symbol, q: Symbol):
+        """Feed in P # Q without forming it: each gamma term pairs only
+        the monomials whose degrees land on the band and whose summed alpha
+        has a nonzero moment."""
+        band = self.band
+        for inv, dp, dq in gamma_terms(p, q, band):
+            by_degree: dict[int, list] = {}
+            for m2, c2 in dq.terms.items():
+                by_degree.setdefault(m2.degree, []).append((m2.alpha, c2.terms))
+            c = None if inv == 1 else inv
+            for m1, c1 in dp.terms.items():
+                a1 = tuple(map(add, m1.alpha, self.shift))
+                for a2, t2 in by_degree.get(band - m1.degree, ()):
+                    alpha = tuple(map(add, a1, a2))
+                    if self.moment(alpha):
+                        words = self.sums.setdefault(alpha, {})
+                        _mul_into(words, c1.terms, t2, c)
+
+    def total(self) -> TraceExpression:
+        """Trace each alpha's sum once and weight it by its moment."""
+        out: dict[TraceWord, Scalar] = {}
+        for alpha, words in self.sums.items():
+            coef = NCPoly._trusted(self.d, words)
+            if self.right is not None:
+                coef = coef * self.right
+            for tw, sc in trace(coef).scale(self.moment(alpha)).terms.items():
+                _accumulate(out, tw, sc)
+        return TraceExpression._trusted(self.d, out)
+
+
 def wodzicki_residue(
     s: Symbol, table: SphereIntegralTable | None = None
 ) -> TraceExpression:
     """Exact residue of a symbol: trace the -d part against the moments."""
-    d = s.d
-    if table is None:
-        table = SphereIntegralTable(d)
-    out = TraceExpression.zero(d)
-    for mono, coef in s.homogeneous_part(-d).terms.items():
-        moment = table.get(mono.alpha)
-        if moment:
-            out = out + trace(coef).scale(moment)
-    return out
+    acc = _ResidueSum(s.d, table)
+    acc.add_symbol(s)
+    return acc.total()
 
 
 def wres_inverse_power(
@@ -87,23 +164,42 @@ def wres_inverse_power(
     """Residue of the inverse (power 1) or of higher inverse powers.
 
     The parametrix is expanded to order n (default d - 2*power, the
-    deepest term any factor passes to degree -d), composed with itself
-    power-1 times, and integrated.  Every factor has top degree -2, so
-    with r factors still to come only degrees >= -d + 2r can reach -d;
-    each product keeps that band.  The last product (r = 0) keeps degree
-    -d alone, the only degree the residue reads; no composition defect is
+    deepest term any factor passes to degree -d) and composed with itself
+    power-1 times.  Every factor has top degree -2, so with r factors
+    still to come only degrees >= -d + 2r can reach -d; each product
+    keeps that band.
+
+    The product that reaches degree -d is never formed: its gamma terms
+    run straight into the per-alpha residue sums, skipping every pair off
+    the band or with a zero moment.  For power >= 2 that product is the
+    last composition.  For power 1 it is the last parametrix step,
+
+        b_(d-2) = -band_(2-d)( (b_0 + ... + b_(d-3)) # a ) . b_0,
+
+    so the series is expanded only to b_(d-3), and b_0 (alpha = 0) just
+    multiplies each traced sum on the right.  No composition defect is
     formed.
     """
     if power < 1:
         raise ValueError("power must be at least 1")
     d = spec.d
     depth = max(d - 2 * power, 0) if n is None else n
-    total = sum(parametrix_series(laplace_symbol(spec), depth), Symbol.zero(d))
+    a = laplace_symbol(spec)
+    if power == 1 and d > 2 and depth >= d - 2:
+        terms = parametrix_series(a, d - 3)
+        acc = _ResidueSum(d, table, tail=-terms[0])
+        acc.add_product(sum(terms, Symbol.zero(d)), a)
+        return acc.total()
+    total = sum(parametrix_series(a, depth), Symbol.zero(d))
+    if power == 1:
+        # b_0 itself at d = 2; no degree -d term at all below depth d - 2
+        return wodzicki_residue(total, table)
     s = total
-    for k in range(1, power):
-        rest = power - 1 - k
-        s = compose(s, total, -d + 2 * rest, None if rest else -d)
-    return wodzicki_residue(s, table)
+    for rest in range(power - 2, 0, -1):
+        s = compose(s, total, -d + 2 * rest)
+    acc = _ResidueSum(d, table)
+    acc.add_product(s, total)
+    return acc.total()
 
 
 def trace_property_probe(

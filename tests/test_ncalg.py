@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,9 +17,11 @@ from ncwres.ncalg import (
     format_word,
     normalize_word,
     Combination,
+    _bump,
     _cancels,
     _join,
 )
+from ncwres.serialize import poly_from_json, poly_to_json
 from ncwres.symcalc import Symbol
 from ncwres.trace import TraceExpression, trace
 
@@ -326,3 +331,90 @@ def test_format_word_mixed():
 
 def test_format_zero():
     assert format_poly(ALG.zero()) == "0"
+
+
+# -- interned letters ------------------------------------------------------
+
+
+@given(letters)
+@settings(max_examples=100, deadline=None)
+def test_letters_are_interned(let):
+    again = Letter(let.kind, tuple(let.deriv), let.axis)
+    assert again is let
+    assert copy.copy(let) is let and copy.deepcopy(let) is let
+    assert pickle.loads(pickle.dumps(let)) is let
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("T", (0, 0)),
+        ("H", (0, 0), 1),
+        ("X", (0, 0), 2),
+        ("Hinv", (1, 0)),
+        ("Hinv", (0, 0), 1),
+        ("Y", (0, 0)),
+        ("H", (0, -1)),
+    ],
+)
+def test_invalid_letters_raise_every_time(args):
+    # a rejected letter is never interned, so a second attempt fails too
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Letter(*args)
+
+
+def test_letters_are_immutable():
+    let = Letter("H", (1, 0))
+    with pytest.raises(AttributeError):
+        let.kind = "X"
+    with pytest.raises(AttributeError):
+        del let.deriv
+    assert let.kind == "H" and let.deriv == (1, 0) and let.order == 1
+
+
+@given(letters.filter(lambda let: let.kind != "Hinv"), st.integers(1, D))
+@settings(max_examples=100, deadline=None)
+def test_derivative_table_matches_bump(let, axis):
+    up = let.derived(axis)
+    assert up is Letter(let.kind, _bump(let.deriv, axis), let.axis)
+    assert let.derived(axis) is up
+    assert up.order == let.order + 1
+
+
+def test_derivative_table_rejects_inverse_and_bad_axis():
+    with pytest.raises(ValueError):
+        Letter("Hinv", (0, 0)).derived(1)
+    for axis in (0, D + 1):
+        with pytest.raises(ValueError):
+            Letter("H", (0, 0)).derived(axis)
+
+
+@given(letters)
+@settings(max_examples=100, deadline=None)
+def test_sort_key_is_unchanged(let):
+    assert let.sort_key() == (
+        {"H": 0, "Hinv": 1, "T": 2, "X": 3}[let.kind],
+        let.axis or 0,
+        let.deriv,
+    )
+
+
+def test_format_word_is_unchanged():
+    h, hi, x = Letter("H", (0, 0)), Letter("Hinv", (0, 0)), Letter("X", (0, 0))
+    d1h, d12t = Letter("H", (1, 0)), Letter("T", (1, 2), axis=2)
+    assert format_word(()) == "1"
+    assert format_word((h, h, d1h, hi, hi, hi)) == "h^2.d1(h).h^-3"
+    assert format_word((d12t, d12t, x)) == "d1d2^2(T2)^2.X"
+    assert repr(d12t) == "Letter(kind='T', deriv=(1, 2), axis=2)"
+
+
+@given(polys())
+@settings(max_examples=60, deadline=None)
+def test_word_json_round_trip_is_byte_identical(p):
+    text = json.dumps(poly_to_json(p))
+    back = poly_from_json(json.loads(text), D)
+    assert json.dumps(poly_to_json(back)) == text
+    # letters compare by identity, so this holds only if parsing returns
+    # the interned letters themselves
+    assert back == p

@@ -12,6 +12,7 @@ from ncwres.parametrix import (
 )
 from ncwres.symcalc import Symbol, XiMonomial, compose, symbol_product
 from ncwres.trace import trace, trace_equal
+from ncwres.verify import poisoned_table
 from ncwres.wres import (
     SphereIntegralTable,
     sphere_derivative_dichotomy,
@@ -239,3 +240,75 @@ def test_volume_residue(d, torsion):
     got = wres_inverse_power(OperatorSpec(d=d, include_t=torsion), d // 2)
     vol = sphere_integral((0,) * d)
     assert got == trace(Algebra(d).h_power(d)).scale(vol)
+
+
+# -- the fused residue pass ------------------------------------------------
+
+
+def unfused_residue(spec, power, table=None):
+    """Wres(Delta^-power) with every product formed in full and read by
+    ``wodzicki_residue``: the route the fused pass must reproduce."""
+    d = spec.d
+    a = laplace_symbol(spec)
+    if power == 1:
+        return wodzicki_residue(sum(parametrix_series(a, d - 2), Symbol.zero(d)), table)
+    total = sum(parametrix_series(a, d - 2 * power), Symbol.zero(d))
+    s = total
+    for _ in range(power - 1):
+        s = compose(s, total, -d)
+    return wodzicki_residue(s, table)
+
+
+@pytest.mark.parametrize(
+    "d, power, torsion, potential",
+    [
+        (2, 1, True, True),
+        (4, 1, True, True),
+        (4, 2, True, True),
+        (6, 2, True, False),
+        (6, 2, False, False),
+        (6, 3, True, False),
+        (8, 4, False, False),
+    ],
+)
+def test_fused_residue_is_exact(d, power, torsion, potential):
+    spec = OperatorSpec(d=d, include_t=torsion, include_x=potential)
+    want = unfused_residue(spec, power)
+    assert not want.is_zero()
+    assert wres_inverse_power(spec, power) == want
+
+
+def _odd_moment_table(d):
+    # a nonzero moment on an odd alpha that the degree -d parts do contain
+    table = SphereIntegralTable(d)
+    table.override((1, 1) + (0,) * (d - 2), Scalar(Fraction(1, 3), pi=d // 2))
+    return table
+
+
+@pytest.mark.parametrize("make_table", [_odd_moment_table, poisoned_table])
+@pytest.mark.parametrize("d, power", [(4, 1), (6, 2)])
+def test_fused_residue_reads_the_callers_table(make_table, d, power):
+    # the pass must not assume that odd moments vanish: it asks the table
+    spec = OperatorSpec(d=d, include_t=True)
+    table = make_table(d)
+    got = wres_inverse_power(spec, power, table=table)
+    assert got == unfused_residue(spec, power, table)
+    assert got != wres_inverse_power(spec, power)
+
+
+@pytest.mark.parametrize(
+    "spec", [SPEC_T, OperatorSpec(d=6, include_t=True, flat=True)], ids=["d4", "d6-flat"]
+)
+def test_power_one_never_forms_the_last_parametrix_term(monkeypatch, spec):
+    d = spec.d
+    depths = []
+
+    def recording(a, n, side="left"):
+        depths.append(n)
+        return parametrix_series(a, n, side)
+
+    monkeypatch.setattr(wres, "parametrix_series", recording)
+    got = wres_inverse_power(spec, power=1)
+    assert depths == [d - 3]
+    # b_(d-2) itself was never built, yet the residue is the unfused one
+    assert got == unfused_residue(spec, 1)
