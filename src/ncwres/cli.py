@@ -33,7 +33,11 @@ from .wres import wres_inverse_power
 
 
 def default_seed() -> int:
-    return int(os.environ.get("NCWRES_SEED", "0"))
+    raw = os.environ.get("NCWRES_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SystemExit(_bad_input(f"NCWRES_SEED must be an integer, not {raw!r}"))
 
 
 def _bad_input(message: str) -> int:

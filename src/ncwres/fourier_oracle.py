@@ -33,6 +33,7 @@ certification tolerance, so the discarded mass never threatens a check.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +265,9 @@ class Assignment:
     """
 
     def __init__(self, theta: ThetaMatrix, atoms: dict[str, FourierElement], tol: float = 1e-10):
+        # a tolerance <= 0 would never stop the Neumann series
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be a finite number > 0, not {tol!r}")
         self.theta = theta
         self.d = theta.d
         self.atoms = atoms

@@ -254,6 +254,24 @@ def _accumulate(terms: dict, key, value):
         del terms[key]
 
 
+def commutative_word(d: int, word: Iterable[Letter]) -> Word:
+    """The image of ``word`` in the commutative quotient: underived h and
+    h^-1 cancel by count, derived letters are opaque commuting symbols,
+    and what survives is sorted into the canonical letter order."""
+    rest = []
+    net = 0
+    for let in word:
+        if let.order == 0 and let.kind == "H":
+            net += 1
+        elif let.kind == "Hinv":
+            net -= 1
+        else:
+            rest.append(let)
+    pad = Letter("H", (0,) * d) if net > 0 else Letter("Hinv", (0,) * d)
+    rest.extend([pad] * abs(net))
+    return tuple(sorted(rest, key=Letter.sort_key))
+
+
 class Combination:
     """Finite sum: ``terms`` maps distinct keys to nonzero coefficients.
 
@@ -385,27 +403,10 @@ class NCPoly(Combination):
         return NCPoly._trusted(self.d, out)
 
     def commutative_image(self) -> "NCPoly":
-        """Project onto the commutative quotient.
-
-        Underived h / h^-1 letters cancel by count; whatever survives is
-        sorted into the canonical letter order.  Derived letters are kept
-        as opaque commuting symbols.
-        """
+        """Project onto the commutative quotient, word by word."""
         out: dict[Word, Fraction] = {}
         for word, sc in self.terms.items():
-            rest = []
-            net = 0
-            for let in word:
-                if let.order == 0 and let.kind == "H":
-                    net += 1
-                elif let.kind == "Hinv":
-                    net -= 1
-                else:
-                    rest.append(let)
-            pad = Letter("H", (0,) * self.d) if net > 0 else Letter("Hinv", (0,) * self.d)
-            rest.extend([pad] * abs(net))
-            key = tuple(sorted(rest, key=Letter.sort_key))
-            _accumulate(out, key, sc)
+            _accumulate(out, commutative_word(self.d, word), sc)
         return NCPoly(self.d, out)
 
     def __repr__(self) -> str:

@@ -59,13 +59,13 @@ def poly_to_json(p: NCPoly) -> dict:
 
 
 def poly_from_json(obj: dict, d: int) -> NCPoly:
-    out = NCPoly.zero(d)
+    terms: dict[Word, Fraction] = {}
     for term in obj["terms"]:
         if term["coef"]["pi"]:
             raise ValueError("polynomial coefficients are rational; pi is not allowed")
-        q = scalar_from_json(term["coef"]).q
-        out = out + NCPoly.from_word(d, _word_from_json(term["word"]), q)
-    return out
+        _accumulate(terms, _word_from_json(term["word"]), scalar_from_json(term["coef"]).q)
+    # the constructor normalizes each word and merges words that meet
+    return NCPoly(d, terms)
 
 
 def trace_expression_to_json(e: TraceExpression) -> dict:
@@ -82,13 +82,13 @@ def trace_expression_to_json(e: TraceExpression) -> dict:
 
 
 def trace_expression_from_json(obj: dict, d: int) -> TraceExpression:
-    out = TraceExpression.zero(d)
+    terms: dict[TraceWord, Scalar] = {}
     for term in obj["terms"]:
         if not term.get("trace"):
             raise ValueError("trace expression term lacks the trace marker")
         tw = TraceWord.make(_word_from_json(term["word"]))
-        out = out + TraceExpression(d, {tw: scalar_from_json(term["coef"])})
-    return out
+        _accumulate(terms, tw, scalar_from_json(term["coef"]))
+    return TraceExpression._trusted(d, terms)
 
 
 def symbol_to_json(s: Symbol) -> dict:

@@ -7,7 +7,7 @@ drive this module:
 * cyclicity lets every trace word be rotated to a canonical representative,
   with wrap-around h/h^-1 cancellation applied first;
 * the vanishing of traced derivations generates linear relations among
-  trace words (integration by parts), which we put into reduced row form
+  trace words (integration by parts), which we put into row echelon form
   and use to rewrite expressions canonically.
 
 Relations are generated by need rather than by blind enumeration: starting
@@ -15,8 +15,10 @@ from the words of the expression, every word obtained by lowering one
 derivative exponent is used as a generator g, contributing the relations
 t(d_b(g)) = 0 for every direction b.  New words met inside those relations
 are explored in turn while they stay within the order and length caps.
-Rows are kept fully back-substituted, so reduction is a single pass and
-the canonical form does not depend on exploration order.
+Each relation pivots on its largest word under ``pivot_key``, and a word
+reduces to the one combination, equal modulo the relations, that holds
+no pivot.  That form depends only on the span of the relations, not on
+the order in which they were found.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .ncalg import (
     Word,
     _accumulate,
     _cancels,
+    commutative_word,
     format_word,
     normalize_word,
     word_sort_key,
@@ -115,13 +118,6 @@ def trace(p: NCPoly) -> TraceExpression:
     return TraceExpression.from_poly(p)
 
 
-def commutative_word(d: int, word: Word) -> Word:
-    """The one word that is the commutative image of ``word``."""
-    # the image of one word is one word with coefficient 1
-    (image,) = NCPoly.from_word(d, word).commutative_image().terms
-    return image
-
-
 def commutative_image_expr(e: TraceExpression) -> TraceExpression:
     out: dict[TraceWord, Scalar] = {}
     for tw, sc in e.terms.items():
@@ -134,11 +130,12 @@ def commutative_image_expr(e: TraceExpression) -> TraceExpression:
 
 
 class Echelon:
-    """Sparse reduced row form over the rationals.
+    """Sparse row echelon form over the rationals.
 
-    Each row maps its pivot to 1 and contains no other row's pivot, so a
-    single pass of ``reduce_vector`` is exact.  ``key`` orders the columns;
-    a new row pivots on its largest surviving column.
+    ``key`` totally orders the columns.  Each row is stored under its
+    pivot, its largest column, which it maps to 1; every other column of
+    the row sorts below the pivot and may be another row's pivot.  A
+    stored row is never rewritten.
     """
 
     def __init__(self, key):
@@ -147,19 +144,27 @@ class Echelon:
         self.rows: dict = {}
 
     def reduce_vector(self, vec: dict) -> dict:
-        out: dict = {}
-        for u, q in vec.items():
-            row = self.rows.get(u)
-            if row is None:
-                cur = out.get(u)
-                out[u] = q if cur is None else cur + q
+        """The one vector equal to ``vec`` modulo the rows with no pivot
+        column.  Pivots go from the largest key down: eliminating one
+        brings in only columns below it, so none comes back."""
+        rows = self.rows
+        out = {u: q for u, q in vec.items() if q}
+        # every pivot the elimination can meet, each queued once
+        todo = [u for u in out if u in rows]
+        queued = set(todo)
+        for u in todo:
+            for w in rows[u]:
+                if w in rows and w not in queued:
+                    queued.add(w)
+                    todo.append(w)
+        for u in sorted(todo, key=self.key, reverse=True):
+            q = out.pop(u, None)
+            if q is None:
                 continue
-            for w, c in row.items():
-                if w == u:
-                    continue
-                cur = out.get(w)
-                out[w] = -q * c if cur is None else cur - q * c
-        return {u: q for u, q in out.items() if q}
+            for w, c in rows[u].items():
+                if w != u:
+                    _accumulate(out, w, -q * c)
+        return out
 
     def insert(self, row: dict):
         """Add a row; return its pivot, or None if it reduced to zero."""
@@ -168,27 +173,12 @@ class Echelon:
             return None
         pivot = max(row, key=self.key)
         inv = Fraction(1) / row[pivot]
-        row = {u: c * inv for u, c in row.items()}
-        # back-substitute into rows that mention the new pivot; their own
-        # pivots are safe because the reduced row contains no existing pivot
-        for other in self.rows.values():
-            coef = other.pop(pivot, None)
-            if coef is None:
-                continue
-            for u, c in row.items():
-                if u == pivot:
-                    continue
-                q = other.get(u, Fraction(0)) - coef * c
-                if q:
-                    other[u] = q
-                else:
-                    other.pop(u, None)
-        self.rows[pivot] = row
+        self.rows[pivot] = {u: c * inv for u, c in row.items()}
         return pivot
 
 
 class ReductionSystem(Echelon):
-    """Reduced row form of the integration-by-parts relations reachable
+    """Row echelon form of the integration-by-parts relations reachable
     from a set of seed words."""
 
     def __init__(self, d: int, seeds: Iterable[TraceWord], commutative: bool = False):

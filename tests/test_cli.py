@@ -186,6 +186,14 @@ def test_env_seed_default_and_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 9
     _, out, _ = run(capsys, "oracle-check", "--format", "json", "--seed", "4")
     assert json.loads(out)["seed"] == 4
+    monkeypatch.setenv("NCWRES_SEED", "abc")
+    for argv in (["oracle-check", "--d", "2"], ["verify", "--d", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ncwres: ") and captured.err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(capsys):
@@ -271,6 +279,16 @@ def _wide_h(obj):
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],
             _edited_assignment(_wide_h),
             id="assignment-outside-neumann-radius",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.update(tol=-1e-10)),
+            id="assignment-negative-tol",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.update(tol=0.0)),
+            id="assignment-zero-tol",
         ),
     ],
 )

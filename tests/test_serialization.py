@@ -187,3 +187,19 @@ def test_normalization_happens_on_parse():
     }
     p = poly_from_json(obj, 2)
     assert p == Algebra(2).x()
+    # a repeated word, here once more after normalization, is summed
+    obj["terms"].append(
+        {"coef": {"num": 2, "den": 3, "pi": 0}, "word": [{"base": "X", "deriv": [0, 0]}]}
+    )
+    assert poly_from_json(obj, 2) == Algebra(2).x().scale(Fraction(5, 3))
+    # two rotations of one trace word are one canonical word
+    h, x = {"base": "H", "deriv": [0, 0]}, {"base": "X", "deriv": [0, 0]}
+    obj = {
+        "terms": [
+            {"coef": {"num": 1, "den": 2, "pi": 1}, "word": [h, x], "trace": True},
+            {"coef": {"num": 3, "den": 2, "pi": 1}, "word": [x, h], "trace": True},
+        ]
+    }
+    alg = Algebra(2)
+    want = trace(alg.h() * alg.x()).scale(Scalar(Fraction(2), 1))
+    assert trace_expression_from_json(obj, 2) == want

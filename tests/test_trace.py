@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from ncwres.ncalg import Algebra, Letter, NCPoly, Scalar, normalize_word
 from ncwres.trace import (
+    Echelon,
     TraceExpression,
     TraceWord,
     canonical_cycle,
@@ -223,6 +225,70 @@ def test_reduction_idempotent(p):
 def test_traced_derivation_reduces_to_zero_commutative(p, axis):
     e = trace(p.derive(axis))
     assert ibp_reduce(e, commutative=True).is_zero()
+
+
+# -- row echelon form ------------------------------------------------------
+
+
+def test_echelon_insert_leaves_stored_rows_alone():
+    ech = Echelon(lambda u: u)
+    assert ech.insert({2: Fraction(2), 1: Fraction(1)}) == 2
+    assert ech.insert({1: Fraction(1), 0: Fraction(3)}) == 1
+    # column 1 is now a pivot, yet the earlier row still holds it
+    assert ech.rows[2] == {2: 1, 1: Fraction(1, 2)}
+    assert ech.reduce_vector({2: Fraction(1)}) == {0: Fraction(3, 2)}
+
+
+def _sparse(rng, n_cols):
+    cols = rng.sample(range(n_cols), rng.randint(1, 4))
+    return {c: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for c in cols}
+
+
+def _dense_reference(rows, vectors, n_cols):
+    """Pivot set and reduced vectors from a dense reduced row echelon
+    form with the largest column leftmost."""
+    order = list(range(n_cols - 1, -1, -1))
+    mat = [[row.get(c, Fraction(0)) for c in order] for row in rows]
+    pivots = []
+    for j in range(n_cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][j]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [x / mat[r][j] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][j]:
+                f = mat[i][j]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(j)
+    reduced = []
+    for vec in vectors:
+        v = [vec.get(c, Fraction(0)) for c in order]
+        for r, j in enumerate(pivots):
+            f = v[j]
+            v = [x - f * y for x, y in zip(v, mat[r])]
+        reduced.append({order[j]: x for j, x in enumerate(v) if x})
+    return {order[j] for j in pivots}, reduced
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_matches_dense_reference_in_any_order(seed):
+    rng = random.Random(seed)
+    n_cols = 14
+    rows = [_sparse(rng, n_cols) for _ in range(9)]
+    # one dependent row, so some insert reduces to zero
+    rows.append({c: rows[0].get(c, 0) + 2 * rows[1].get(c, 0) for c in range(n_cols)})
+    vectors = rows + [_sparse(rng, n_cols) for _ in range(6)]
+    want_pivots, want = _dense_reference(rows, vectors, n_cols)
+    assert all(not v for v in want[: len(rows)])
+    for _ in range(4):
+        rng.shuffle(rows)
+        ech = Echelon(lambda u: u)
+        for row in rows:
+            ech.insert(row)
+        assert set(ech.rows) == want_pivots
+        assert [ech.reduce_vector(v) for v in vectors] == want
 
 
 # -- rendering -------------------------------------------------------------
