@@ -32,12 +32,18 @@ from .wres import wres_inverse_power
 # verify and oracle-check import them when they run
 
 
-def default_seed() -> int:
-    raw = os.environ.get("NCWRES_SEED", "0")
+def resolve_seed(args) -> int:
+    """``--seed``, else NCWRES_SEED, else 0; anything but a nonnegative
+    integer exits 2."""
+    name = "NCWRES_SEED" if args.seed is None else "--seed"
+    raw = os.environ.get(name, "0") if args.seed is None else str(args.seed)
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise SystemExit(_bad_input(f"NCWRES_SEED must be an integer, not {raw!r}"))
+        seed = -1
+    if seed < 0:
+        raise SystemExit(_bad_input(f"{name} must be a nonnegative integer, not {raw!r}"))
+    return seed
 
 
 def _bad_input(message: str) -> int:
@@ -184,7 +190,7 @@ def _print_report(report: dict, fmt: str) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification
 
-    seed = args.seed if args.seed is not None else default_seed()
+    seed = resolve_seed(args)
     try:
         OperatorSpec(d=args.d)
     except ValueError as exc:
@@ -203,7 +209,7 @@ def cmd_oracle_check(args) -> int:
     from .randgen import random_assignment
     from .verify import oracle_battery
 
-    seed = args.seed if args.seed is not None else default_seed()
+    seed = resolve_seed(args)
     try:
         if args.oracle_assignment:
             with open(args.oracle_assignment) as fh:

@@ -216,14 +216,16 @@ def _bump(deriv: tuple[int, ...], axis: int) -> tuple[int, ...]:
     return deriv[: axis - 1] + (deriv[axis - 1] + 1,) + deriv[axis:]
 
 
-def _mul_into(out: dict[Word, Fraction], t1: dict, t2: dict, c: Fraction | None = None):
+def _mul_into(out: dict[Word, Fraction], t1: dict, t2: dict, c: int | Fraction = 1):
     """Add c times the product of two word sums into ``out``.
 
     ``t1`` and ``t2`` map normal words to nonzero coefficients; like
-    ``_accumulate``, the merge keeps no zero entry.
+    ``_accumulate``, the merge keeps no zero entry.  A ``c`` of 1 costs
+    no multiply.
     """
+    scaled = c != 1
     for w1, s1 in t1.items():
-        if c is not None:
+        if scaled:
             s1 = s1 * c
         for w2, s2 in t2.items():
             key = _join(w1, w2)

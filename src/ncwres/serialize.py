@@ -119,13 +119,19 @@ def _element_to_json(el: FourierElement) -> dict:
     return {"coeffs": coeffs}
 
 
+def _mode_index(items, d: int) -> tuple[int, ...]:
+    if type(items) is not list or len(items) != d or any(type(i) is not int for i in items):
+        raise ValueError(f"mode index must be a list of {d} integers, not {items!r}")
+    return tuple(items)
+
+
 def _element_from_json(obj: dict, theta: ThetaMatrix) -> FourierElement:
     from .fourier_oracle import FourierElement
 
-    return FourierElement(
-        theta,
-        {tuple(it["index"]): complex(it["re"], it["im"]) for it in obj["coeffs"]},
-    )
+    coeffs = {}
+    for it in obj["coeffs"]:
+        coeffs[_mode_index(it["index"], theta.d)] = complex(it["re"], it["im"])
+    return FourierElement(theta, coeffs)
 
 
 def _atom_json_key(name: str) -> str:

@@ -16,21 +16,23 @@ dropping total degree by exactly one.  The composition product expands
 
     P # Q = sum_gamma (1/gamma!) (d_xi^gamma P) . (delta^gamma Q)
 
-with the coefficients of P kept to the left.  ``gamma_terms`` is its one
-expansion: it yields the live (gamma, d_xi^gamma P, delta^gamma Q) and
-prunes what can no longer reach the lowest wanted degree, which also ends
-the gamma sum.  ``compose`` sums those terms into a band of degrees
-lo..hi; the residue pass in ``wres`` traces them instead.
+with the coefficients of P kept to the left.  ``gamma_pairs`` is its one
+expansion: it yields (1/gamma!, m1, c1, m2, c2) for every monomial pair of
+d_xi^gamma P and delta^gamma Q whose degree lies in a band lo..hi, and
+prunes what can no longer reach lo, which also ends the gamma sum.
+``compose`` multiplies those pairs into one word sum per monomial, as
+``Symbol.pointwise_mul`` does with the plain pairs; the residue pass in
+``wres`` sums them per xi exponent instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 
-from .ncalg import Combination, NCPoly, _accumulate, format_poly
+from .ncalg import Combination, NCPoly, _accumulate, _mul_into, format_poly
 
 
 @dataclass(frozen=True)
@@ -113,26 +115,12 @@ class Symbol(Combination):
                 _accumulate(out, up, coef.scale(2 * mono.m))
         return Symbol._trusted(self.d, out)
 
-    def pointwise_mul(
-        self,
-        other: "Symbol",
-        min_degree: int | None = None,
-        max_degree: int | None = None,
-    ) -> "Symbol":
+    def pointwise_mul(self, other: "Symbol") -> "Symbol":
         """Product at a frozen xi: coefficients multiply in order, xi
-        exponents add.  Pairs landing below min_degree or above max_degree
-        are skipped before their coefficients are multiplied."""
+        exponents add."""
         self._check(other)
-        out: dict[XiMonomial, NCPoly] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                deg = m1.degree + m2.degree
-                if min_degree is not None and deg < min_degree:
-                    continue
-                if max_degree is not None and deg > max_degree:
-                    continue
-                _accumulate(out, m1 * m2, c1 * c2)
-        return Symbol._trusted(self.d, out)
+        pairs = product(self.terms.items(), other.terms.items())
+        return _sum_pairs(self.d, ((1, m1, c1, m2, c2) for (m1, c1), (m2, c2) in pairs))
 
     def degrees(self) -> list[int]:
         return sorted({mono.degree for mono in self.terms})
@@ -176,9 +164,21 @@ def _gamma_factorial(gamma: tuple[int, ...]) -> int:
     return out
 
 
-def gamma_terms(p: Symbol, q: Symbol, lo: int):
-    """Yield (1/gamma!, d_xi^gamma P, delta^gamma Q) for every gamma whose
-    term can still reach degrees >= lo, in the order ``compose`` sums them.
+def _sum_pairs(d: int, pairs) -> Symbol:
+    """Sum c . c1 c2 at xi^(m1 m2) over (c, m1, c1, m2, c2), multiplying the
+    word sums straight into one dict per monomial."""
+    acc: dict[XiMonomial, dict] = {}
+    for c, m1, c1, m2, c2 in pairs:
+        _mul_into(acc.setdefault(m1 * m2, {}), c1.terms, c2.terms, c)
+    return Symbol._trusted(
+        d, {mono: NCPoly._trusted(d, words) for mono, words in acc.items() if words}
+    )
+
+
+def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):
+    """Yield (1/gamma!, m1, c1, m2, c2) for every monomial pair of
+    d_xi^gamma P and delta^gamma Q with degree in lo..hi (no upper cut when
+    hi is None), gamma by gamma, then pair by pair in the symbols' order.
 
     At level |gamma| = g, p-monomials below lo - maxdeg(q) and q-monomials
     below lo - maxdeg(p) + g can no longer reach the band (d_xi lowers the
@@ -189,14 +189,26 @@ def gamma_terms(p: Symbol, q: Symbol, lo: int):
     d = p.d
     if p.is_zero() or q.is_zero():
         return
-    p_floor = lo - q.max_degree()
-    q_floor = lo - p.max_degree()
+    top_p, top_q = p.max_degree(), q.max_degree()
+    p_floor, q_floor = lo - top_q, lo - top_p
+    hi = top_p + top_q if hi is None else hi
     # (d_xi^gamma p, delta^gamma q) for the live gammas of one level
     level = {(0,) * d: (p.truncate_below(p_floor), q.truncate_below(q_floor))}
     g = 0
     while level:
         for gamma, (dp, dq) in sorted(level.items()):
-            yield Fraction(1, _gamma_factorial(gamma)), dp, dq
+            inv = Fraction(1, _gamma_factorial(gamma))
+            # degree of m1 -> the q-monomials that land in the band with it
+            partners: dict[int, list] = {}
+            for m1, c1 in dp.terms.items():
+                d1 = m1.degree
+                right = partners.get(d1)
+                if right is None:
+                    right = partners[d1] = [
+                        (m2, c2) for m2, c2 in dq.terms.items() if lo <= d1 + m2.degree <= hi
+                    ]
+                for m2, c2 in right:
+                    yield inv, m1, c1, m2, c2
         g += 1
         nxt: dict[tuple[int, ...], tuple[Symbol, Symbol]] = {}
         for gamma in multi_indices(d, g):
@@ -204,22 +216,19 @@ def gamma_terms(p: Symbol, q: Symbol, lo: int):
             parent = tuple(k - 1 if i == axis - 1 else k for i, k in enumerate(gamma))
             if parent not in level:
                 continue  # nothing of this branch can reach the band
+            dq = level[parent][1].truncate_below(q_floor + g).derive(axis)
+            if dq.is_zero():
+                continue
             # d_xi lowers every degree by one, so cut before deriving
             dp = level[parent][0].truncate_below(p_floor + 1).partial_xi(axis)
-            dq = level[parent][1].truncate_below(q_floor + g).derive(axis)
-            if not (dp.is_zero() or dq.is_zero()):
+            if not dp.is_zero():
                 nxt[gamma] = (dp, dq)
         level = nxt
 
 
 def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:
     """Degrees lo..hi of the composition P # Q (no upper cut when hi is None)."""
-    acc: dict[XiMonomial, NCPoly] = {}
-    for inv, dp, dq in gamma_terms(p, q, lo):
-        piece = dp.pointwise_mul(dq, lo, hi)
-        for mono, coef in piece.terms.items():
-            _accumulate(acc, mono, coef.scale(inv))
-    return Symbol._trusted(p.d, acc)
+    return _sum_pairs(p.d, gamma_pairs(p, q, lo, hi))
 
 
 def symbol_product(p: Symbol, q: Symbol, min_degree: int) -> Symbol:

@@ -185,7 +185,7 @@ class ReductionSystem(Echelon):
         super().__init__(pivot_key)
         self.d = d
         self.commutative = commutative
-        seed_list = sorted(set(seeds), key=pivot_key)
+        seed_list = list(dict.fromkeys(seeds))
         self.cap_ord = max((tw.order for tw in seed_list), default=0)
         self.cap_len = max((len(tw) for tw in seed_list), default=0) + 1
         self._seen_words = set(seed_list)
@@ -207,8 +207,8 @@ class ReductionSystem(Echelon):
             _accumulate(row, self._canon(word), q)
         return row
 
-    def _lowerings(self, tw: TraceWord) -> list[TraceWord]:
-        out = set()
+    def _lowerings(self, tw: TraceWord):
+        """Canonical words with one derivative exponent of ``tw`` lowered."""
         word = tw.word
         for i, let in enumerate(word):
             if let.order == 0:
@@ -221,8 +221,7 @@ class ReductionSystem(Echelon):
                     let.deriv[: b - 1] + (let.deriv[b - 1] - 1,) + let.deriv[b:],
                     let.axis,
                 )
-                out.add(self._canon(word[:i] + (lowered,) + word[i + 1:]))
-        return sorted(out, key=pivot_key)
+                yield self._canon(word[:i] + (lowered,) + word[i + 1:])
 
     def _explore(self, tw: TraceWord, queue: deque):
         for gen in self._lowerings(tw):
@@ -231,7 +230,7 @@ class ReductionSystem(Echelon):
             self._seen_gens.add(gen)
             for axis in range(1, self.d + 1):
                 row = self._relation(gen, axis)
-                for u in sorted(row, key=pivot_key):
+                for u in row:
                     if (
                         u not in self._seen_words
                         and u.order <= self.cap_ord

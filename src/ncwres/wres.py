@@ -13,15 +13,15 @@ of pi^(d/2) when all are even (half-integer Gamma values pair up with the
 even dimension).  No 2pi normalization is applied.
 
 One routine reads residues.  It keeps one coefficient sum per alpha, for
-every norm power at once, and traces each sum once at the end.  A symbol
-feeds it its degree ``-d`` monomials (``wodzicki_residue``).  A product
-feeds it its gamma terms directly, so the product is never formed: a
-monomial pair is dropped before its coefficients are multiplied unless
-its degrees land on ``-d`` and the table gives its summed alpha a nonzero
-moment.  ``wres_inverse_power`` sends the product that reaches degree
-``-d`` through that fused pass.  The moments always come from the
-caller's table, overrides included, so an injected fault reaches the
-result exactly as it would through the full product.
+every norm power at once, and traces each sum once at the end.  A product
+feeds it the monomial pairs of ``symcalc.gamma_pairs`` whose degree is
+``-d``, and a symbol s is fed in as s # 1 (``wodzicki_residue``).  The
+product is never formed: a pair is dropped before its coefficients are
+multiplied unless the table gives its summed alpha a nonzero moment.
+``wres_inverse_power`` sends the product that reaches degree ``-d``
+through that fused pass.  The table caches every moment and an override
+writes into that cache, so an injected fault reaches the result exactly
+as it would through the full product.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import add
 
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_series
 from .ncalg import NCPoly, Scalar, Word, _accumulate, _mul_into
-from .symcalc import Symbol, XiMonomial, compose, gamma_terms, symbol_product
+from .symcalc import Symbol, XiMonomial, compose, gamma_pairs, symbol_product
 from .trace import TraceExpression, TraceWord, trace, trace_equal
 
 
@@ -57,22 +57,25 @@ class SphereIntegralTable:
     """Moment cache with an override hook for fault injection.
 
     Overriding a moment lets the self-check pipeline demonstrate that a
-    wrong constant is actually caught by the cross-validations.
+    wrong constant is actually caught by the cross-validations.  An
+    override writes into the cache, so every reader sees it.
     """
 
     def __init__(self, d: int):
         self.d = d
-        self._overrides: dict[tuple[int, ...], Scalar] = {}
+        self._moments: dict[tuple[int, ...], Scalar] = {}
 
     def override(self, alpha: tuple[int, ...], value: Scalar):
-        self._overrides[tuple(alpha)] = value
+        self._moments[tuple(alpha)] = value
 
     def get(self, alpha: tuple[int, ...]) -> Scalar:
         alpha = tuple(alpha)
         if len(alpha) != self.d:
             raise ValueError("exponent tuple has wrong length")
-        hit = self._overrides.get(alpha)
-        return hit if hit is not None else sphere_integral(alpha)
+        m = self._moments.get(alpha)
+        if m is None:
+            m = self._moments[alpha] = sphere_integral(alpha)
+        return m
 
 
 class _ResidueSum:
@@ -91,7 +94,6 @@ class _ResidueSum:
     ):
         self.d = d
         self.table = SphereIntegralTable(d) if table is None else table
-        self._moments: dict[tuple[int, ...], Scalar] = {}
         self.sums: dict[tuple[int, ...], dict[Word, Fraction]] = {}
         # the degree fed-in terms must have, the tail's alpha, and the
         # tail's coefficient, which multiplies each sum on the right
@@ -100,39 +102,15 @@ class _ResidueSum:
             ((mono, self.right),) = tail.terms.items()
             self.band, self.shift = -d - mono.degree, mono.alpha
 
-    def moment(self, alpha: tuple[int, ...]) -> Scalar:
-        m = self._moments.get(alpha)
-        if m is None:
-            m = self._moments[alpha] = self.table.get(alpha)
-        return m
-
-    def add_symbol(self, s: Symbol):
-        for mono, coef in s.terms.items():
-            if mono.degree != self.band:
-                continue
-            alpha = tuple(map(add, mono.alpha, self.shift))
-            if self.moment(alpha):
-                words = self.sums.setdefault(alpha, {})
-                for word, q in coef.terms.items():
-                    _accumulate(words, word, q)
-
     def add_product(self, p: Symbol, q: Symbol):
-        """Feed in P # Q without forming it: each gamma term pairs only
-        the monomials whose degrees land on the band and whose summed alpha
-        has a nonzero moment."""
-        band = self.band
-        for inv, dp, dq in gamma_terms(p, q, band):
-            by_degree: dict[int, list] = {}
-            for m2, c2 in dq.terms.items():
-                by_degree.setdefault(m2.degree, []).append((m2.alpha, c2.terms))
-            c = None if inv == 1 else inv
-            for m1, c1 in dp.terms.items():
-                a1 = tuple(map(add, m1.alpha, self.shift))
-                for a2, t2 in by_degree.get(band - m1.degree, ()):
-                    alpha = tuple(map(add, a1, a2))
-                    if self.moment(alpha):
-                        words = self.sums.setdefault(alpha, {})
-                        _mul_into(words, c1.terms, t2, c)
+        """Feed in P # Q without forming it: only the pairs whose degrees
+        land on the band and whose summed alpha has a nonzero moment are
+        multiplied."""
+        shift, moment = self.shift, self.table.get
+        for inv, m1, c1, m2, c2 in gamma_pairs(p, q, self.band, self.band):
+            alpha = tuple(map(add, map(add, m1.alpha, m2.alpha), shift))
+            if moment(alpha):
+                _mul_into(self.sums.setdefault(alpha, {}), c1.terms, c2.terms, inv)
 
     def total(self) -> TraceExpression:
         """Trace each alpha's sum once and weight it by its moment."""
@@ -141,7 +119,7 @@ class _ResidueSum:
             coef = NCPoly._trusted(self.d, words)
             if self.right is not None:
                 coef = coef * self.right
-            for tw, sc in trace(coef).scale(self.moment(alpha)).terms.items():
+            for tw, sc in trace(coef).scale(self.table.get(alpha)).terms.items():
                 _accumulate(out, tw, sc)
         return TraceExpression._trusted(self.d, out)
 
@@ -149,9 +127,10 @@ class _ResidueSum:
 def wodzicki_residue(
     s: Symbol, table: SphereIntegralTable | None = None
 ) -> TraceExpression:
-    """Exact residue of a symbol: trace the -d part against the moments."""
+    """Exact residue of a symbol: trace the -d part against the moments.
+    It is fed in as s # 1, whose only pairs are s's own monomials."""
     acc = _ResidueSum(s.d, table)
-    acc.add_symbol(s)
+    acc.add_product(s, Symbol.one(s.d))
     return acc.total()
 
 
@@ -169,10 +148,10 @@ def wres_inverse_power(
     still to come only degrees >= -d + 2r can reach -d; each product
     keeps that band.
 
-    The product that reaches degree -d is never formed: its gamma terms
-    run straight into the per-alpha residue sums, skipping every pair off
-    the band or with a zero moment.  For power >= 2 that product is the
-    last composition.  For power 1 it is the last parametrix step,
+    The product that reaches degree -d is never formed: its monomial
+    pairs of degree -d run straight into the per-alpha residue sums,
+    skipping every pair with a zero moment.  For power >= 2 that product
+    is the last composition.  For power 1 it is the last parametrix step,
 
         b_(d-2) = -band_(2-d)( (b_0 + ... + b_(d-3)) # a ) . b_0,
 

@@ -186,14 +186,15 @@ def test_env_seed_default_and_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 9
     _, out, _ = run(capsys, "oracle-check", "--format", "json", "--seed", "4")
     assert json.loads(out)["seed"] == 4
-    monkeypatch.setenv("NCWRES_SEED", "abc")
-    for argv in (["oracle-check", "--d", "2"], ["verify", "--d", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("ncwres: ") and captured.err.count("\n") == 1
+    for env in ("abc", "-3"):
+        monkeypatch.setenv("NCWRES_SEED", env)
+        for argv in (["oracle-check", "--d", "2"], ["verify", "--d", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("ncwres: ") and captured.err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(capsys):
@@ -208,6 +209,13 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     assert main(["parametrix", "--order", "-1"]) == 2
     capsys.readouterr()
+    for argv in (["verify", "--d", "4", "--seed", "-1"], ["oracle-check", "--seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ncwres: --seed must be a nonnegative integer, not '-1'\n"
 
 
 def test_spec_file_configures_operator(capsys, tmp_path):
@@ -241,6 +249,10 @@ def _skew_theta(obj):
 
 def _wide_h(obj):
     obj["atoms"]["h"]["coeffs"].append({"index": [1, 1], "re": 5.0, "im": 0.0})
+
+
+def _set_t1_index(obj, index):
+    obj["atoms"]["T1"]["coeffs"][0]["index"] = index
 
 
 @pytest.mark.parametrize(
@@ -289,6 +301,16 @@ def _wide_h(obj):
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],
             _edited_assignment(lambda obj: obj.update(tol=0.0)),
             id="assignment-zero-tol",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: _set_t1_index(obj, [1, 0, 0])),
+            id="assignment-index-wrong-length",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: _set_t1_index(obj, [1.5, 0])),
+            id="assignment-index-not-int",
         ),
     ],
 )

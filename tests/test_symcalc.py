@@ -234,6 +234,27 @@ def test_compose_band_is_restricted_product(seed):
             assert compose(left, right, lo, hi) == _at_most(full, hi)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_multiplies_pairs_without_products(seed, monkeypatch):
+    # compose sums gamma_pairs straight into word sums: neither the
+    # symbol product at frozen xi nor the polynomial product is called
+    rng = np.random.default_rng(seed)
+    p, q = _mixed_symbol(rng, 1), _mixed_symbol(rng, 0)
+    bands = [
+        (left, right, lo, hi)
+        for left, right in ((p, q), (q, p))
+        for lo, hi in ((-3, None), (-3, -2), (-2, -2))
+    ]
+    want = [compose(*band) for band in bands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compose must not build intermediate products")
+
+    monkeypatch.setattr(Symbol, "pointwise_mul", refuse)
+    monkeypatch.setattr(NCPoly, "__mul__", refuse)
+    assert [compose(*band) for band in bands] == want
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_parametrix_order_three_defect_vanishes(side):
     spec = OperatorSpec(d=4, include_t=True, include_x=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncwres.ncalg import Algebra, Letter, NCPoly, Scalar, normalize_word
 from ncwres.trace import (
     Echelon,
+    ReductionSystem,
     TraceExpression,
     TraceWord,
     canonical_cycle,
@@ -289,6 +290,26 @@ def test_echelon_matches_dense_reference_in_any_order(seed):
             ech.insert(row)
         assert set(ech.rows) == want_pivots
         assert [ech.reduce_vector(v) for v in vectors] == want
+
+
+@pytest.mark.parametrize("include_t", [False, True])
+def test_reduction_ignores_seed_order(include_t):
+    from ncwres.parametrix import OperatorSpec
+    from ncwres.wres import wres_inverse_power
+
+    raw = wres_inverse_power(OperatorSpec(d=4, include_t=include_t), 1)
+    want = ibp_reduce(raw)
+    assert not want.is_zero()
+    pivots = set(ReductionSystem(raw.d, raw.terms).rows)
+    rng = random.Random(7)
+    items = list(raw.terms.items())
+    for _ in range(3):
+        rng.shuffle(items)
+        shuffled = TraceExpression(raw.d, dict(items))
+        assert set(ReductionSystem(raw.d, shuffled.terms).rows) == pivots
+        assert ibp_reduce(shuffled) == want
+        assert trace_equal(shuffled, want) and trace_equal(want, shuffled)
+        assert not trace_equal(shuffled, raw.scale(2))
 
 
 # -- rendering -------------------------------------------------------------
