@@ -142,13 +142,14 @@ def parametrix_series(a: Symbol, n: int, side: str = "left") -> list[Symbol]:
     if n < 0:
         raise ValueError("need at least the leading term")
     b0 = invert_leading(a)
+    neg_b0 = -b0
     bs = [b0]
     total = b0
     for m in range(1, n + 1):
         if side == "left":
-            b = -(compose(total, a, -m, -m).pointwise_mul(b0))
+            b = compose(total, a, -m, -m).pointwise_mul(neg_b0)
         else:
-            b = -(b0.pointwise_mul(compose(a, total, -m, -m)))
+            b = neg_b0.pointwise_mul(compose(a, total, -m, -m))
         bs.append(b)
         total = total + b
     return bs

@@ -8,6 +8,7 @@ bit through Python's json module.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -125,31 +126,32 @@ def _mode_index(items, d: int) -> tuple[int, ...]:
     return tuple(items)
 
 
+def _coefficient_part(value) -> float:
+    # bool is an int subclass; NaN, infinities and ints beyond the float
+    # range all fail the bound
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"coefficient parts must be finite numbers, not {value!r}")
+
+
 def _element_from_json(obj: dict, theta: ThetaMatrix) -> FourierElement:
     from .fourier_oracle import FourierElement
 
+    if type(obj["coeffs"]) is not list:
+        raise ValueError(f"coeffs must be a list, not {obj['coeffs']!r}")
     coeffs = {}
     for it in obj["coeffs"]:
-        coeffs[_mode_index(it["index"], theta.d)] = complex(it["re"], it["im"])
+        re, im = _coefficient_part(it["re"]), _coefficient_part(it["im"])
+        coeffs[_mode_index(it["index"], theta.d)] = complex(re, im)
     return FourierElement(theta, coeffs)
 
 
 def _atom_json_key(name: str) -> str:
-    if name == "h":
-        return "h"
-    if name == "x":
-        return "X"
-    return "T" + name[1:]
+    return "h" if name == "h" else name.upper()
 
 
 def _atom_internal_key(name: str) -> str:
-    if name == "h":
-        return "h"
-    if name == "X":
-        return "x"
-    if name.startswith("T"):
-        return "t" + name[1:]
-    raise ValueError(f"unknown atom {name!r}")
+    return "h" if name == "h" else name.lower()
 
 
 def assignment_to_json(asg: Assignment) -> dict:
@@ -168,9 +170,9 @@ def assignment_from_json(obj: dict) -> Assignment:
     from .fourier_oracle import Assignment, ThetaMatrix
 
     theta = ThetaMatrix(obj["theta"])
-    missing = {"h", "X", *(f"T{a}" for a in range(1, theta.d + 1))} - set(obj["atoms"])
-    if missing:
-        raise ValueError(f"assignment lacks atoms {sorted(missing)}")
+    names = {"h", "X", *(f"T{a}" for a in range(1, theta.d + 1))}
+    if type(obj["atoms"]) is not dict or set(obj["atoms"]) != names:
+        raise ValueError(f"atoms must be an object with exactly the keys {sorted(names)}")
     atoms = {
         _atom_internal_key(name): _element_from_json(sub, theta)
         for name, sub in obj["atoms"].items()

@@ -241,21 +241,36 @@ class ReductionSystem(Echelon):
                 self.insert(row)
 
 
-def _pi_sectors(e: TraceExpression) -> dict[int, dict[TraceWord, Fraction]]:
-    out: dict[int, dict[TraceWord, Fraction]] = {}
-    for tw, sc in e.terms.items():
-        out.setdefault(sc.pi, {})[tw] = sc.q
-    return out
+def _reduced(
+    exprs: Sequence[TraceExpression], commutative: bool
+) -> list[dict[int, dict[TraceWord, Fraction]]]:
+    """Canonical form of each expression, as {pi power: reduced vector}
+    with empty sectors dropped.
+
+    One relation system, seeded with the words of every expression,
+    reduces them all.  Reduction is linear and returns the one
+    representative that holds no pivot, so two expressions agree modulo
+    the relations exactly when their forms are equal.
+    """
+    if commutative:
+        exprs = [commutative_image_expr(e) for e in exprs]
+    system = ReductionSystem(exprs[0].d, (tw for e in exprs for tw in e.terms), commutative)
+    forms = []
+    for e in exprs:
+        sectors: dict[int, dict[TraceWord, Fraction]] = {}
+        for tw, sc in e.terms.items():
+            sectors.setdefault(sc.pi, {})[tw] = sc.q
+        reduced = {pi: system.reduce_vector(vec) for pi, vec in sectors.items()}
+        forms.append({pi: vec for pi, vec in reduced.items() if vec})
+    return forms
 
 
 def ibp_reduce(e: TraceExpression, commutative: bool = False) -> TraceExpression:
     """Canonical form of ``e`` modulo cyclicity and integration by parts."""
-    if commutative:
-        e = commutative_image_expr(e)
-    system = ReductionSystem(e.d, e.terms.keys(), commutative)
+    (form,) = _reduced([e], commutative)
     out: dict[TraceWord, Scalar] = {}
-    for pi, vec in sorted(_pi_sectors(e).items()):
-        for tw, q in system.reduce_vector(vec).items():
+    for pi, vec in sorted(form.items()):
+        for tw, q in vec.items():
             if tw in out:
                 raise ValueError("reduction mixed distinct pi powers on one word")
             out[tw] = Scalar(q, pi)
@@ -266,25 +281,8 @@ def trace_equal(a: TraceExpression, b: TraceExpression, commutative: bool = Fals
     """Whether a and b agree modulo cyclicity and integration by parts."""
     if a.d != b.d:
         return False
-    if commutative:
-        a = commutative_image_expr(a)
-        b = commutative_image_expr(b)
-    diff: dict[int, dict[TraceWord, Fraction]] = {}
-    for sign, e in ((Fraction(1), a), (Fraction(-1), b)):
-        for pi, vec in _pi_sectors(e).items():
-            sector = diff.setdefault(pi, {})
-            for tw, q in vec.items():
-                _accumulate(sector, tw, sign * q)
-    seeds = [tw for vec in diff.values() for tw in vec]
-    system = ReductionSystem(a.d, seeds, commutative)
-    return all(not system.reduce_vector(vec) for vec in diff.values())
-
-
-def _uniform_pi(e: TraceExpression) -> int:
-    pis = {sc.pi for sc in e.terms.values()}
-    if len(pis) > 1:
-        raise ValueError("expression mixes pi powers; cannot span-solve")
-    return pis.pop() if pis else 0
+    ra, rb = _reduced([a, b], commutative)
+    return ra == rb
 
 
 def express_in_span(
@@ -296,31 +294,28 @@ def express_in_span(
     modulo integration by parts, or None if no combination exists.
 
     Raises if a combination exists but is not unique (the shapes are
-    dependent over the reduced basis).
+    dependent over the reduced basis), or if a reduced expression mixes
+    pi powers.
     """
-    exprs = [target] + list(shapes)
-    if commutative:
-        exprs = [commutative_image_expr(e) for e in exprs]
-    pi_t = _uniform_pi(exprs[0])
-    pi_s = [_uniform_pi(e) for e in exprs[1:]]
-    seeds = [tw for e in exprs for tw in e.terms]
-    system = ReductionSystem(target.d, seeds, commutative)
-    target_vec, *shape_vecs = [
-        system.reduce_vector({tw: sc.q for tw, sc in e.terms.items()}) for e in exprs
+    forms = _reduced([target, *shapes], commutative)
+    if any(len(form) > 1 for form in forms):
+        raise ValueError("expression mixes pi powers; cannot span-solve")
+    (pi_t, target_vec), *shape_sectors = [
+        next(iter(form.items()), (0, {})) for form in forms
     ]
     # shape i enters as v_i - e_i with an integer tag i that sorts below
     # every word, so a row pivots on a tag only when the shapes are
     # dependent; the target then reduces to sum x_i e_i when it is in span
     span = Echelon(lambda u: (0, u) if isinstance(u, int) else (1, pivot_key(u)))
-    for i, vec in enumerate(shape_vecs):
+    for i, (_, vec) in enumerate(shape_sectors):
         span.insert({**vec, i: Fraction(-1)})
     rest = span.reduce_vector(target_vec)
     if any(isinstance(u, TraceWord) for u in rest):
         return None  # inconsistent: target leaves the span
     if any(isinstance(u, int) for u in span.rows):
         raise ValueError("shapes are linearly dependent modulo the relations")
-    sol = [rest.get(i, Fraction(0)) for i in range(len(shape_vecs))]
-    return [Scalar(x, pi_t - pi_s[i] if x else 0) for i, x in enumerate(sol)]
+    sol = [rest.get(i, Fraction(0)) for i in range(len(shape_sectors))]
+    return [Scalar(x, pi_t - pi_s if x else 0) for x, (pi_s, _) in zip(sol, shape_sectors)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,14 @@ which vanishes when any exponent is odd and is an exact rational multiple
 of pi^(d/2) when all are even (half-integer Gamma values pair up with the
 even dimension).  No 2pi normalization is applied.
 
-One routine reads residues.  It keeps one coefficient sum per alpha, for
-every norm power at once, and traces each sum once at the end.  A product
-feeds it the monomial pairs of ``symcalc.gamma_pairs`` whose degree is
-``-d``, and a symbol s is fed in as s # 1 (``wodzicki_residue``).  The
-product is never formed: a pair is dropped before its coefficients are
-multiplied unless the table gives its summed alpha a nonzero moment.
-``wres_inverse_power`` sends the product that reaches degree ``-d``
-through that fused pass.  The table caches every moment and an override
+One function, ``_product_residue``, reads every residue, that of a
+product P # Q, without forming the product.  It visits the monomial pairs
+of ``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if
+the table gives its summed alpha a nonzero moment, keeps one coefficient
+sum per alpha for every norm power at once, and traces each sum once.
+``wodzicki_residue`` reads a symbol s as s # 1, ``wres_inverse_power``
+reads the product that reaches degree ``-d``, and ``trace_property_probe``
+reads P # Q and Q # P.  The table caches every moment and an override
 writes into that cache, so an injected fault reaches the result exactly
 as it would through the full product.
 """
@@ -32,7 +32,7 @@ from operator import add
 
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_series
 from .ncalg import NCPoly, Scalar, Word, _accumulate, _mul_into
-from .symcalc import Symbol, XiMonomial, compose, gamma_pairs, symbol_product
+from .symcalc import Symbol, XiMonomial, compose, gamma_pairs
 from .trace import TraceExpression, TraceWord, trace, trace_equal
 
 
@@ -78,60 +78,44 @@ class SphereIntegralTable:
         return m
 
 
-class _ResidueSum:
-    """Residue of (what is fed in) . tail, as per-alpha coefficient sums
-    that are traced once at the end.
+def _product_residue(
+    p: Symbol, q: Symbol, table: SphereIntegralTable | None = None, tail: Symbol | None = None
+) -> TraceExpression:
+    """Residue of (P # Q) . tail without forming P # Q.
 
-    ``tail`` is one monomial, or None for the identity.  On the sphere
-    |xi| = 1, so the monomials xi^alpha |xi|^(2m) for every m share the
-    moment of alpha, and one coefficient sum per alpha suffices.  An alpha
-    whose moment is zero in the table (overrides included) is refused
-    before anything is multiplied or summed.
+    ``tail`` is one monomial, or None for the identity; its coefficient
+    multiplies each alpha's sum on the right.  An alpha whose moment is
+    zero in the table (overrides included) is refused before anything is
+    multiplied or summed.
     """
-
-    def __init__(
-        self, d: int, table: SphereIntegralTable | None, tail: Symbol | None = None
-    ):
-        self.d = d
-        self.table = SphereIntegralTable(d) if table is None else table
-        self.sums: dict[tuple[int, ...], dict[Word, Fraction]] = {}
-        # the degree fed-in terms must have, the tail's alpha, and the
-        # tail's coefficient, which multiplies each sum on the right
-        self.band, self.shift, self.right = -d, (0,) * d, None
-        if tail is not None:
-            ((mono, self.right),) = tail.terms.items()
-            self.band, self.shift = -d - mono.degree, mono.alpha
-
-    def add_product(self, p: Symbol, q: Symbol):
-        """Feed in P # Q without forming it: only the pairs whose degrees
-        land on the band and whose summed alpha has a nonzero moment are
-        multiplied."""
-        shift, moment = self.shift, self.table.get
-        for inv, m1, c1, m2, c2 in gamma_pairs(p, q, self.band, self.band):
-            alpha = tuple(map(add, map(add, m1.alpha, m2.alpha), shift))
-            if moment(alpha):
-                _mul_into(self.sums.setdefault(alpha, {}), c1.terms, c2.terms, inv)
-
-    def total(self) -> TraceExpression:
-        """Trace each alpha's sum once and weight it by its moment."""
-        out: dict[TraceWord, Scalar] = {}
-        for alpha, words in self.sums.items():
-            coef = NCPoly._trusted(self.d, words)
-            if self.right is not None:
-                coef = coef * self.right
-            for tw, sc in trace(coef).scale(self.table.get(alpha)).terms.items():
-                _accumulate(out, tw, sc)
-        return TraceExpression._trusted(self.d, out)
+    d = p.d
+    table = SphereIntegralTable(d) if table is None else table
+    band, shift, right = -d, (0,) * d, None
+    if tail is not None:
+        ((mono, right),) = tail.terms.items()
+        band, shift = -d - mono.degree, mono.alpha
+    moment = table.get
+    sums: dict[tuple[int, ...], dict[Word, Fraction]] = {}
+    for inv, m1, c1, m2, c2 in gamma_pairs(p, q, band, band):
+        alpha = tuple(map(add, map(add, m1.alpha, m2.alpha), shift))
+        if moment(alpha):
+            _mul_into(sums.setdefault(alpha, {}), c1.terms, c2.terms, inv)
+    out: dict[TraceWord, Scalar] = {}
+    for alpha, words in sums.items():
+        coef = NCPoly._trusted(d, words)
+        if right is not None:
+            coef = coef * right
+        for tw, sc in trace(coef).scale(moment(alpha)).terms.items():
+            _accumulate(out, tw, sc)
+    return TraceExpression._trusted(d, out)
 
 
 def wodzicki_residue(
     s: Symbol, table: SphereIntegralTable | None = None
 ) -> TraceExpression:
     """Exact residue of a symbol: trace the -d part against the moments.
-    It is fed in as s # 1, whose only pairs are s's own monomials."""
-    acc = _ResidueSum(s.d, table)
-    acc.add_product(s, Symbol.one(s.d))
-    return acc.total()
+    It is read as s # 1, whose only pairs are s's own monomials."""
+    return _product_residue(s, Symbol.one(s.d), table)
 
 
 def wres_inverse_power(
@@ -166,9 +150,7 @@ def wres_inverse_power(
     a = laplace_symbol(spec)
     if power == 1 and d > 2 and depth >= d - 2:
         terms = parametrix_series(a, d - 3)
-        acc = _ResidueSum(d, table, tail=-terms[0])
-        acc.add_product(sum(terms, Symbol.zero(d)), a)
-        return acc.total()
+        return _product_residue(sum(terms, Symbol.zero(d)), a, table, tail=-terms[0])
     total = sum(parametrix_series(a, depth), Symbol.zero(d))
     if power == 1:
         # b_0 itself at d = 2; no degree -d term at all below depth d - 2
@@ -176,9 +158,7 @@ def wres_inverse_power(
     s = total
     for rest in range(power - 2, 0, -1):
         s = compose(s, total, -d + 2 * rest)
-    acc = _ResidueSum(d, table)
-    acc.add_product(s, total)
-    return acc.total()
+    return _product_residue(s, total, table)
 
 
 def trace_property_probe(
@@ -186,9 +166,8 @@ def trace_property_probe(
 ) -> tuple[TraceExpression, TraceExpression, bool]:
     """Residues of p#q and q#p plus whether they agree modulo
     integration by parts; agreement is the trace property of the residue."""
-    d = p.d
-    r_pq = wodzicki_residue(symbol_product(p, q, -d), table)
-    r_qp = wodzicki_residue(symbol_product(q, p, -d), table)
+    r_pq = _product_residue(p, q, table)
+    r_qp = _product_residue(q, p, table)
     return r_pq, r_qp, trace_equal(r_pq, r_qp)
 
 

@@ -255,6 +255,10 @@ def _set_t1_index(obj, index):
     obj["atoms"]["T1"]["coeffs"][0]["index"] = index
 
 
+def _set_t1_part(obj, part, value):
+    obj["atoms"]["T1"]["coeffs"][0][part] = value
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -311,6 +315,31 @@ def _set_t1_index(obj, index):
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],
             _edited_assignment(lambda obj: _set_t1_index(obj, [1.5, 0])),
             id="assignment-index-not-int",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.update(atoms=list(obj["atoms"]))),
+            id="assignment-atoms-list",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj["atoms"].update(T3=obj["atoms"]["T1"])),
+            id="assignment-extra-atom",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: _set_t1_part(obj, "re", float("nan"))),
+            id="assignment-coefficient-nan",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: _set_t1_part(obj, "re", True)),
+            id="assignment-coefficient-bool",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj["atoms"]["T1"].update(coeffs={})),
+            id="assignment-coeffs-not-list",
         ),
     ],
 )

@@ -89,6 +89,12 @@ def test_trace_equal_distinguishes_pi_sectors():
     assert not trace_equal(w.scale(Scalar(Fraction(1), pi=2)), w.scale(2))
 
 
+def test_trace_equal_ibp_zeros_across_pi_powers():
+    # both sides reduce to zero, so their pi powers never meet
+    z = trace(ALG.h().derive(1) * ALG.h())
+    assert trace_equal(z.scale(Scalar(Fraction(1), pi=1)), z.scale(Scalar(Fraction(3), pi=2)))
+
+
 def test_commutative_equality_only():
     a = trace(
         NCPoly.from_word(D, (T1, H, DH, X))

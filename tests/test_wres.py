@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from ncwres import parametrix, wres
-from ncwres.ncalg import Algebra, Scalar
+from ncwres import parametrix, symcalc, wres
+from ncwres.ncalg import Algebra, NCPoly, Scalar
 from ncwres.parametrix import (
     OperatorSpec,
     laplace_symbol,
     parametrix_series,
     parametrix_terms,
 )
+from ncwres.randgen import random_probe_pair
 from ncwres.symcalc import Symbol, XiMonomial, compose, symbol_product
 from ncwres.trace import trace, trace_equal
 from ncwres.verify import poisoned_table
@@ -177,6 +178,23 @@ def test_probe_detects_corrupted_moments():
     assert not ok
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_probe_forms_no_product(monkeypatch, d):
+    # the probe reads both residues off the pair loop: no composition,
+    # no pointwise product and no polynomial product is formed
+    pairs = [random_probe_pair(d, seed) for seed in range(4)]
+    want = [trace_property_probe(p, q) for p, q in pairs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the probe formed a product")
+
+    monkeypatch.setattr(wres, "symbol_product", forbidden, raising=False)
+    monkeypatch.setattr(symcalc, "compose", forbidden)
+    monkeypatch.setattr(Symbol, "pointwise_mul", forbidden)
+    monkeypatch.setattr(NCPoly, "__mul__", forbidden)
+    assert [trace_property_probe(p, q) for p, q in pairs] == want
+
+
 @pytest.mark.parametrize("d, power", [(4, 2), (6, 3)])
 def test_default_depth_reaches_degree_minus_d(d, power):
     # each factor of the inverse power only needs terms down to degree
@@ -196,7 +214,7 @@ def test_residue_path_forms_no_defect(monkeypatch):
         raise AssertionError("the residue path formed a composition defect")
 
     monkeypatch.setattr(parametrix, "symbol_product", forbidden)
-    monkeypatch.setattr(wres, "symbol_product", forbidden)
+    monkeypatch.setattr(wres, "symbol_product", forbidden, raising=False)
     got = wres_inverse_power(SPEC_T, power=1)
     assert got == want
     assert trace_equal(got, frozen_inverse_residue())
