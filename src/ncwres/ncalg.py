@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable
 
 KIND_RANK = {"H": 0, "Hinv": 1, "T": 2, "X": 3}
@@ -460,33 +461,19 @@ class Algebra:
 
 
 def format_scalar(sc: Scalar) -> str:
-    if sc.q == 0:
-        return "0"
-    parts = []
-    if sc.q == 1 and sc.pi != 0:
-        pass
-    elif sc.q == -1 and sc.pi != 0:
-        parts.append("-1")
-    else:
-        parts.append(str(sc.q))
-    if sc.pi == 1:
-        parts.append("pi")
-    elif sc.pi != 0:
-        parts.append(f"pi^{sc.pi}")
-    if sc.q == -1 and sc.pi != 0:
-        return "-" + "*".join(parts[1:])
-    return "*".join(parts) if parts else "1"
+    if not sc.pi:
+        return str(sc.q)
+    power = "pi" if sc.pi == 1 else f"pi^{sc.pi}"
+    if abs(sc.q) == 1:
+        return ("-" if sc.q < 0 else "") + power
+    return f"{sc.q}*{power}"
+
+
+_BASES = {"H": "h", "Hinv": "h^-1", "X": "X"}
 
 
 def format_letter(let: Letter) -> str:
-    if let.kind == "H":
-        base = "h"
-    elif let.kind == "Hinv":
-        base = "h^-1"
-    elif let.kind == "T":
-        base = f"T{let.axis}"
-    else:
-        base = "X"
+    base = f"T{let.axis}" if let.kind == "T" else _BASES[let.kind]
     if let.order == 0:
         return base
     dparts = []
@@ -499,45 +486,32 @@ def format_letter(let: Letter) -> str:
 
 
 def format_word(word: Word) -> str:
-    if not word:
-        return "1"
     pieces = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run, let = j - i, word[i]
-        text = format_letter(let)
-        if run > 1:
-            if let.kind == "H" and let.order == 0:
-                text = f"h^{run}"
-            elif let.kind == "Hinv":
-                text = f"h^-{run}"
-            else:
-                text = f"{text}^{run}"
+    for let, run in groupby(word):
+        text, n = format_letter(let), len(list(run))
+        if n > 1:
+            text = f"h^-{n}" if let.kind == "Hinv" else f"{text}^{n}"
         pieces.append(text)
-        i = j
-    return ".".join(pieces)
+    return ".".join(pieces) or "1"
+
+
+def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, text) pairs as ``a - b + c``; the first term takes
+    a bare minus sign and no sum gives the empty string."""
+    text = "".join((" - " if negative else " + ") + body for negative, body in terms)
+    return ("-" if text.startswith(" - ") else "") + text[3:]
 
 
 def format_poly(p: NCPoly) -> str:
-    if p.is_zero():
-        return "0"
-    chunks = []
+    terms = []
     for word in sorted(p.terms, key=word_sort_key):
         sc = p.terms[word]
-        body = format_word(word)
         coef = str(abs(sc))
-        if coef == "1" and word:
-            text = body
-        elif not word:
+        if not word:
             text = coef
+        elif coef == "1":
+            text = format_word(word)
         else:
-            text = f"{coef}*{body}"
-        sign = " + " if sc > 0 else " - "
-        if not chunks:
-            chunks.append(("-" if sc < 0 else "") + text)
-        else:
-            chunks.append(sign + text)
-    return "".join(chunks)
+            text = f"{coef}*{format_word(word)}"
+        terms.append((sc < 0, text))
+    return _signed_sum(terms) or "0"

@@ -126,12 +126,12 @@ def _mode_index(items, d: int) -> tuple[int, ...]:
     return tuple(items)
 
 
-def _coefficient_part(value) -> float:
+def _coefficient_part(value, what: str = "coefficient parts") -> float:
     # bool is an int subclass; NaN, infinities and ints beyond the float
     # range all fail the bound
     if type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
-    raise ValueError(f"coefficient parts must be finite numbers, not {value!r}")
+    raise ValueError(f"{what} must be finite numbers, not {value!r}")
 
 
 def _element_from_json(obj: dict, theta: ThetaMatrix) -> FourierElement:
@@ -160,7 +160,7 @@ def assignment_to_json(asg: Assignment) -> dict:
         for name in sorted(asg.atoms)
     }
     return {
-        "theta": [list(row) for row in asg.theta.mat],
+        "theta": asg.theta.mat.tolist(),
         "atoms": atoms,
         "tol": asg.tol,
     }
@@ -169,7 +169,10 @@ def assignment_to_json(asg: Assignment) -> dict:
 def assignment_from_json(obj: dict) -> Assignment:
     from .fourier_oracle import Assignment, ThetaMatrix
 
-    theta = ThetaMatrix(obj["theta"])
+    rows = obj["theta"]
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError(f"theta must be a list of rows, not {rows!r}")
+    theta = ThetaMatrix([[_coefficient_part(x, "theta entries") for x in row] for row in rows])
     names = {"h", "X", *(f"T{a}" for a in range(1, theta.d + 1))}
     if type(obj["atoms"]) is not dict or set(obj["atoms"]) != names:
         raise ValueError(f"atoms must be an object with exactly the keys {sorted(names)}")

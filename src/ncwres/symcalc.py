@@ -17,12 +17,12 @@ dropping total degree by exactly one.  The composition product expands
     P # Q = sum_gamma (1/gamma!) (d_xi^gamma P) . (delta^gamma Q)
 
 with the coefficients of P kept to the left.  ``gamma_pairs`` is its one
-expansion: it yields (1/gamma!, m1, c1, m2, c2) for every monomial pair of
-d_xi^gamma P and delta^gamma Q whose degree lies in a band lo..hi, and
-prunes what can no longer reach lo, which also ends the gamma sum.
-``compose`` multiplies those pairs into one word sum per monomial, as
+expansion: it walks gamma depth first and yields (1/gamma!, m1, c1, m2,
+c2) for every monomial pair of d_xi^gamma P and delta^gamma Q whose degree
+lies in a band lo..hi, pruning what can no longer reach lo.  ``compose``
+multiplies those pairs into one word sum per monomial, as
 ``Symbol.pointwise_mul`` does with the plain pairs; the residue pass in
-``wres`` sums them per xi exponent instead.
+``wres`` sums them all, weighted by their sphere moments, into one.
 """
 
 from __future__ import annotations
@@ -180,10 +180,12 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):
     d_xi^gamma P and delta^gamma Q with degree in lo..hi (no upper cut when
     hi is None), gamma by gamma, then pair by pair in the symbols' order.
 
-    At level |gamma| = g, p-monomials below lo - maxdeg(q) and q-monomials
-    below lo - maxdeg(p) + g can no longer reach the band (d_xi lowers the
-    degree by one, delta keeps it), so both are dropped before deriving;
-    a level with nothing left ends the sum.
+    Gamma is walked depth first on one stack: a child steps along an axis
+    a no larger than its parent's smallest nonzero one, so each gamma is
+    reached once, from gamma - e_a.  At |gamma| = g, p-monomials below
+    lo - maxdeg(q) and q-monomials below lo - maxdeg(p) + g can no longer
+    reach the band (d_xi lowers the degree by one, delta keeps it), so
+    both are dropped before deriving; a child left empty is not walked.
     """
     p._check(q)
     d = p.d
@@ -192,38 +194,32 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):
     top_p, top_q = p.max_degree(), q.max_degree()
     p_floor, q_floor = lo - top_q, lo - top_p
     hi = top_p + top_q if hi is None else hi
-    # (d_xi^gamma p, delta^gamma q) for the live gammas of one level
-    level = {(0,) * d: (p.truncate_below(p_floor), q.truncate_below(q_floor))}
-    g = 0
-    while level:
-        for gamma, (dp, dq) in sorted(level.items()):
-            inv = Fraction(1, _gamma_factorial(gamma))
-            # degree of m1 -> the q-monomials that land in the band with it
-            partners: dict[int, list] = {}
-            for m1, c1 in dp.terms.items():
-                d1 = m1.degree
-                right = partners.get(d1)
-                if right is None:
-                    right = partners[d1] = [
-                        (m2, c2) for m2, c2 in dq.terms.items() if lo <= d1 + m2.degree <= hi
-                    ]
-                for m2, c2 in right:
-                    yield inv, m1, c1, m2, c2
-        g += 1
-        nxt: dict[tuple[int, ...], tuple[Symbol, Symbol]] = {}
-        for gamma in multi_indices(d, g):
-            axis = next(i + 1 for i, k in enumerate(gamma) if k)
-            parent = tuple(k - 1 if i == axis - 1 else k for i, k in enumerate(gamma))
-            if parent not in level:
-                continue  # nothing of this branch can reach the band
-            dq = level[parent][1].truncate_below(q_floor + g).derive(axis)
-            if dq.is_zero():
+    stack = [(p.truncate_below(p_floor), q.truncate_below(q_floor), Fraction(1), (0,) * d, d)]
+    while stack:
+        dp, dq, inv, gamma, top = stack.pop()
+        # degree of m1 -> the q-monomials that land in the band with it
+        partners: dict[int, list] = {}
+        for m1, c1 in dp.terms.items():
+            d1 = m1.degree
+            right = partners.get(d1)
+            if right is None:
+                right = partners[d1] = [
+                    (m2, c2) for m2, c2 in dq.terms.items() if lo <= d1 + m2.degree <= hi
+                ]
+            for m2, c2 in right:
+                yield inv, m1, c1, m2, c2
+        # d_xi lowers every degree by one, so cut before deriving
+        dp = dp.truncate_below(p_floor + 1)
+        dq = dq.truncate_below(q_floor + sum(gamma) + 1)
+        for axis in range(1, top + 1):
+            child_q = dq.derive(axis)
+            if child_q.is_zero():
                 continue
-            # d_xi lowers every degree by one, so cut before deriving
-            dp = level[parent][0].truncate_below(p_floor + 1).partial_xi(axis)
-            if not dp.is_zero():
-                nxt[gamma] = (dp, dq)
-        level = nxt
+            child_p = dp.partial_xi(axis)
+            if child_p.is_zero():
+                continue
+            k = gamma[axis - 1] + 1
+            stack.append((child_p, child_q, inv / k, gamma[: axis - 1] + (k,) + gamma[axis:], axis))
 
 
 def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:

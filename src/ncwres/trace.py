@@ -37,7 +37,9 @@ from .ncalg import (
     Word,
     _accumulate,
     _cancels,
+    _signed_sum,
     commutative_word,
+    format_scalar,
     format_word,
     normalize_word,
     word_sort_key,
@@ -241,33 +243,40 @@ class ReductionSystem(Echelon):
                 self.insert(row)
 
 
-def _reduced(
-    exprs: Sequence[TraceExpression], commutative: bool
-) -> list[dict[int, dict[TraceWord, Fraction]]]:
-    """Canonical form of each expression, as {pi power: reduced vector}
-    with empty sectors dropped.
+Sectors = dict[int, dict[TraceWord, Fraction]]
 
-    One relation system, seeded with the words of every expression,
-    reduces them all.  Reduction is linear and returns the one
-    representative that holds no pivot, so two expressions agree modulo
-    the relations exactly when their forms are equal.
-    """
+
+def _sectors(e: TraceExpression, commutative: bool) -> Sectors:
+    """``e`` as {pi power: rational vector}, taken to the commutative
+    quotient first when asked."""
     if commutative:
-        exprs = [commutative_image_expr(e) for e in exprs]
-    system = ReductionSystem(exprs[0].d, (tw for e in exprs for tw in e.terms), commutative)
-    forms = []
-    for e in exprs:
-        sectors: dict[int, dict[TraceWord, Fraction]] = {}
-        for tw, sc in e.terms.items():
-            sectors.setdefault(sc.pi, {})[tw] = sc.q
-        reduced = {pi: system.reduce_vector(vec) for pi, vec in sectors.items()}
-        forms.append({pi: vec for pi, vec in reduced.items() if vec})
-    return forms
+        e = commutative_image_expr(e)
+    sectors: Sectors = {}
+    for tw, sc in e.terms.items():
+        sectors.setdefault(sc.pi, {})[tw] = sc.q
+    return sectors
+
+
+def _reduced(d: int, forms: Sequence[Sectors], commutative: bool) -> list[Sectors]:
+    """Canonical form of each sector map, with empty sectors dropped.
+
+    One relation system, seeded with the words of every form, reduces
+    them all.  Reduction is linear and returns the one representative
+    that holds no pivot, so two forms agree modulo the relations exactly
+    when their reduced forms are equal.
+    """
+    seeds = (tw for form in forms for vec in form.values() for tw in vec)
+    system = ReductionSystem(d, seeds, commutative)
+    out = []
+    for form in forms:
+        reduced = {pi: system.reduce_vector(vec) for pi, vec in form.items()}
+        out.append({pi: vec for pi, vec in reduced.items() if vec})
+    return out
 
 
 def ibp_reduce(e: TraceExpression, commutative: bool = False) -> TraceExpression:
     """Canonical form of ``e`` modulo cyclicity and integration by parts."""
-    (form,) = _reduced([e], commutative)
+    (form,) = _reduced(e.d, [_sectors(e, commutative)], commutative)
     out: dict[TraceWord, Scalar] = {}
     for pi, vec in sorted(form.items()):
         for tw, q in vec.items():
@@ -278,11 +287,17 @@ def ibp_reduce(e: TraceExpression, commutative: bool = False) -> TraceExpression
 
 
 def trace_equal(a: TraceExpression, b: TraceExpression, commutative: bool = False) -> bool:
-    """Whether a and b agree modulo cyclicity and integration by parts."""
+    """Whether a and b agree modulo cyclicity and integration by parts;
+    only a - b is reduced, so words that cancel seed no relations."""
     if a.d != b.d:
         return False
-    ra, rb = _reduced([a, b], commutative)
-    return ra == rb
+    diff = _sectors(a, commutative)
+    for pi, vec in _sectors(b, commutative).items():
+        sector = diff.setdefault(pi, {})
+        for tw, q in vec.items():
+            _accumulate(sector, tw, -q)
+    (form,) = _reduced(a.d, [diff], commutative)
+    return not form
 
 
 def express_in_span(
@@ -297,7 +312,7 @@ def express_in_span(
     dependent over the reduced basis), or if a reduced expression mixes
     pi powers.
     """
-    forms = _reduced([target, *shapes], commutative)
+    forms = _reduced(target.d, [_sectors(e, commutative) for e in (target, *shapes)], commutative)
     if any(len(form) > 1 for form in forms):
         raise ValueError("expression mixes pi powers; cannot span-solve")
     (pi_t, target_vec), *shape_sectors = [
@@ -341,34 +356,22 @@ def format_trace_expression(e: TraceExpression) -> str:
     A uniform nonzero pi power (with the rational gcd) is shown as a
     prefix, e.g. ``2*pi^2 * t[h^4]``; otherwise terms are joined plainly.
     """
-    from .ncalg import format_scalar
-
-    if e.is_zero():
-        return "0"
-    ordered = sorted(e.terms, key=lambda tw: word_sort_key(tw.word))
-    pis = {sc.pi for sc in e.terms.values()}
-    prefix = ""
-    coeffs = {tw: e.terms[tw] for tw in ordered}
-    if pis != {0} and len(pis) == 1:
-        k = pis.pop()
-        g = _fraction_gcd(sc.q for sc in e.terms.values())
-        if all(sc.q < 0 for sc in e.terms.values()):
+    coeffs = e.terms
+    pis = {sc.pi for sc in coeffs.values()}
+    g = None
+    if len(pis) == 1 and pis != {0}:
+        g = _fraction_gcd(sc.q for sc in coeffs.values())
+        if all(sc.q < 0 for sc in coeffs.values()):
             g = -g
-        prefix = format_scalar(Scalar(g, k))
-        coeffs = {tw: Scalar(sc.q / g) for tw, sc in e.terms.items()}
-    chunks = []
-    for tw in ordered:
+        coeffs = {tw: Scalar(sc.q / g) for tw, sc in coeffs.items()}
+    terms = []
+    for tw in sorted(coeffs, key=lambda tw: word_sort_key(tw.word)):
         sc = coeffs[tw]
         mag = format_scalar(sc if sc.q > 0 else -sc)
         body = format_trace_word(tw)
-        text = body if mag == "1" else f"{mag}*{body}"
-        if not chunks:
-            chunks.append(("-" if sc.q < 0 else "") + text)
-        else:
-            chunks.append((" - " if sc.q < 0 else " + ") + text)
-    joined = "".join(chunks)
-    if not prefix:
+        terms.append((sc.q < 0, body if mag == "1" else f"{mag}*{body}"))
+    joined = _signed_sum(terms) or "0"
+    if g is None:
         return joined
-    if len(ordered) == 1 and not joined.startswith("-") and "*" not in joined:
-        return f"{prefix} * {joined}"
-    return f"{prefix} * ( {joined} )"
+    prefix = format_scalar(Scalar(g, pis.pop()))
+    return f"{prefix} * {joined}" if len(terms) == 1 else f"{prefix} * ( {joined} )"

@@ -15,8 +15,8 @@ even dimension).  No 2pi normalization is applied.
 One function, ``_product_residue``, reads every residue, that of a
 product P # Q, without forming the product.  It visits the monomial pairs
 of ``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if
-the table gives its summed alpha a nonzero moment, keeps one coefficient
-sum per alpha for every norm power at once, and traces each sum once.
+the table gives its summed alpha a nonzero moment, a rational times
+pi^(d/2), and sums every pair into one word sum, traced once.
 ``wodzicki_residue`` reads a symbol s as s # 1, ``wres_inverse_power``
 reads the product that reaches degree ``-d``, and ``trace_property_probe``
 reads P # Q and Q # P.  The table caches every moment and an override
@@ -31,9 +31,9 @@ from math import factorial
 from operator import add
 
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_series
-from .ncalg import NCPoly, Scalar, Word, _accumulate, _mul_into
+from .ncalg import NCPoly, Scalar, Word, _mul_into
 from .symcalc import Symbol, XiMonomial, compose, gamma_pairs
-from .trace import TraceExpression, TraceWord, trace, trace_equal
+from .trace import TraceExpression, trace, trace_equal
 
 
 def sphere_integral(alpha: tuple[int, ...]) -> Scalar:
@@ -58,7 +58,8 @@ class SphereIntegralTable:
 
     Overriding a moment lets the self-check pipeline demonstrate that a
     wrong constant is actually caught by the cross-validations.  An
-    override writes into the cache, so every reader sees it.
+    override writes into the cache, so every reader sees it; a nonzero
+    one must keep the pi^(d/2) that lets the residue sum moments as rationals.
     """
 
     def __init__(self, d: int):
@@ -66,6 +67,8 @@ class SphereIntegralTable:
         self._moments: dict[tuple[int, ...], Scalar] = {}
 
     def override(self, alpha: tuple[int, ...], value: Scalar):
+        if value and value.pi != self.d // 2:
+            raise ValueError(f"moments in d={self.d} are rationals times pi^{self.d // 2}")
         self._moments[tuple(alpha)] = value
 
     def get(self, alpha: tuple[int, ...]) -> Scalar:
@@ -83,10 +86,10 @@ def _product_residue(
 ) -> TraceExpression:
     """Residue of (P # Q) . tail without forming P # Q.
 
-    ``tail`` is one monomial, or None for the identity; its coefficient
-    multiplies each alpha's sum on the right.  An alpha whose moment is
-    zero in the table (overrides included) is refused before anything is
-    multiplied or summed.
+    ``tail`` is one monomial, or None for the identity.  Every moment is
+    a rational times pi^(d/2), so each pair with a nonzero moment in the
+    table (overrides included) goes into one word sum, weighted by that
+    rational; the sum, times the tail's coefficient, is traced once.
     """
     d = p.d
     table = SphereIntegralTable(d) if table is None else table
@@ -95,19 +98,15 @@ def _product_residue(
         ((mono, right),) = tail.terms.items()
         band, shift = -d - mono.degree, mono.alpha
     moment = table.get
-    sums: dict[tuple[int, ...], dict[Word, Fraction]] = {}
+    words: dict[Word, Fraction] = {}
     for inv, m1, c1, m2, c2 in gamma_pairs(p, q, band, band):
-        alpha = tuple(map(add, map(add, m1.alpha, m2.alpha), shift))
-        if moment(alpha):
-            _mul_into(sums.setdefault(alpha, {}), c1.terms, c2.terms, inv)
-    out: dict[TraceWord, Scalar] = {}
-    for alpha, words in sums.items():
-        coef = NCPoly._trusted(d, words)
-        if right is not None:
-            coef = coef * right
-        for tw, sc in trace(coef).scale(moment(alpha)).terms.items():
-            _accumulate(out, tw, sc)
-    return TraceExpression._trusted(d, out)
+        m = moment(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
+        if m:
+            _mul_into(words, c1.terms, c2.terms, inv * m.q)
+    coef = NCPoly._trusted(d, words)
+    if right is not None:
+        coef = coef * right
+    return trace(coef).scale(Scalar(1, d // 2))
 
 
 def wodzicki_residue(
@@ -133,14 +132,14 @@ def wres_inverse_power(
     keeps that band.
 
     The product that reaches degree -d is never formed: its monomial
-    pairs of degree -d run straight into the per-alpha residue sums,
+    pairs of degree -d run straight into the one residue word sum,
     skipping every pair with a zero moment.  For power >= 2 that product
     is the last composition.  For power 1 it is the last parametrix step,
 
         b_(d-2) = -band_(2-d)( (b_0 + ... + b_(d-3)) # a ) . b_0,
 
     so the series is expanded only to b_(d-3), and b_0 (alpha = 0) just
-    multiplies each traced sum on the right.  No composition defect is
+    multiplies the word sum on the right.  No composition defect is
     formed.
     """
     if power < 1:

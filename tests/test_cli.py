@@ -338,6 +338,11 @@ def _set_t1_part(obj, part, value):
         ),
         pytest.param(
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.update(theta=[[0, True], [False, 0]])),
+            id="assignment-theta-bool",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
             _edited_assignment(lambda obj: obj["atoms"]["T1"].update(coeffs={})),
             id="assignment-coeffs-not-list",
         ),

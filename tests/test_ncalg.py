@@ -316,6 +316,11 @@ def test_format_scalar_with_pi():
     assert format_scalar(Scalar(Fraction(2), pi=2)) == "2*pi^2"
     assert format_scalar(Scalar(Fraction(-1), pi=1)) == "-pi"
     assert format_scalar(Scalar(Fraction(3, 4))) == "3/4"
+    assert format_scalar(Scalar(Fraction(1))) == "1"
+    assert format_scalar(Scalar(Fraction(-1))) == "-1"
+    assert format_scalar(Scalar(Fraction(0))) == "0"
+    assert format_scalar(Scalar(Fraction(-3, 2), pi=2)) == "-3/2*pi^2"
+    assert format_scalar(Scalar(Fraction(1), pi=-1)) == "pi^-1"
 
 
 def test_format_word_mixed():
@@ -327,6 +332,8 @@ def test_format_word_mixed():
         )
     )
     assert format_word(w) == "h.T1^2"
+    x, d1t2 = Letter("X", (0, 0)), Letter("T", (1, 0), axis=2)
+    assert format_word((x, x, x, d1t2, d1t2) + w + (x,)) == "X^3.d1(T2)^2.h.T1^2.X"
 
 
 def test_format_zero():

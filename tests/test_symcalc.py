@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from ncwres import randgen
 from ncwres.ncalg import Algebra, NCPoly, Scalar
-from ncwres.parametrix import OperatorSpec, laplace_symbol, parametrix_terms
+from ncwres.parametrix import OperatorSpec, _apply_gamma, laplace_symbol, parametrix_terms
 from ncwres.symcalc import (
     Symbol,
     XiMonomial,
     compose,
     format_xi_monomial,
+    gamma_pairs,
     multi_indices,
     symbol_product,
 )
@@ -253,6 +255,38 @@ def test_compose_multiplies_pairs_without_products(seed, monkeypatch):
     monkeypatch.setattr(Symbol, "pointwise_mul", refuse)
     monkeypatch.setattr(NCPoly, "__mul__", refuse)
     assert [compose(*band) for band in bands] == want
+
+
+def _pair_multiset(pairs) -> Counter:
+    return Counter(
+        (inv, m1, m2, frozenset(c1.terms.items()), frozenset(c2.terms.items()))
+        for inv, m1, c1, m2, c2 in pairs
+    )
+
+
+def _reference_pairs(p, q, lo, hi):
+    # every gamma up to the last level that can still reach lo, derived
+    # from scratch, with the pairs outside the band dropped afterwards
+    hi = p.max_degree() + q.max_degree() if hi is None else hi
+    for level in range(p.max_degree() + q.max_degree() - lo + 1):
+        for gamma in multi_indices(p.d, level):
+            inv = Fraction(1, math.prod(math.factorial(g) for g in gamma))
+            dp, dq = _apply_gamma(p, gamma, True), _apply_gamma(q, gamma, False)
+            for m1, c1 in dp.terms.items():
+                for m2, c2 in dq.terms.items():
+                    if lo <= m1.degree + m2.degree <= hi:
+                        yield inv, m1, c1, m2, c2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gamma_pairs_match_the_full_gamma_sum(seed):
+    rng = np.random.default_rng(seed)
+    p, q = _mixed_symbol(rng, 1), _mixed_symbol(rng, 0)
+    for left, right in ((p, q), (q, p)):
+        for lo, hi in ((-3, None), (-3, -2), (-2, -2)):
+            want = _pair_multiset(_reference_pairs(left, right, lo, hi))
+            assert want
+            assert _pair_multiset(gamma_pairs(left, right, lo, hi)) == want
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

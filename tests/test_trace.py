@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncwres.trace as trace_module
 from ncwres.ncalg import Algebra, Letter, NCPoly, Scalar, normalize_word
 from ncwres.trace import (
     Echelon,
@@ -111,6 +112,34 @@ def test_commutative_image_expr_merges_words():
     b = trace(NCPoly.from_word(D, (T1, DH, H)))
     img = commutative_image_expr(a - b)
     assert img.is_zero()
+
+
+def _record_seeds(monkeypatch) -> list:
+    seeded = []
+
+    class Recording(ReductionSystem):
+        def __init__(self, d, seeds, commutative=False):
+            seeds = list(seeds)
+            seeded.extend(seeds)
+            super().__init__(d, seeds, commutative)
+
+    monkeypatch.setattr(trace_module, "ReductionSystem", Recording)
+    return seeded
+
+
+def test_trace_equal_seeds_only_the_difference(monkeypatch):
+    seeded = _record_seeds(monkeypatch)
+    e = trace(NCPoly.from_word(D, (DH, T1, X, H))) + trace(ALG.h() * ALG.h()).scale(
+        Scalar(Fraction(1, 2), pi=2)
+    )
+    assert trace_equal(e, e) and trace_equal(e, e, commutative=True)
+    assert seeded == []
+    zero = trace(ALG.h().derive(1) * ALG.h())
+    assert trace_equal(e + zero, e)
+    assert set(seeded) == set(zero.terms)
+    seeded.clear()
+    assert not trace_equal(e + trace(ALG.t(1)), e + trace(ALG.x()))
+    assert set(seeded) == set(trace(ALG.t(1) + ALG.x()).terms)
 
 
 def test_express_in_span_exact():
@@ -331,6 +360,15 @@ def test_format_factors_gcd():
         ALG.t(1) * ALG.t(1)
     ).scale(Scalar(Fraction(-1, 2), pi=2))
     assert format_trace_expression(e) == "1/2*pi^2 * ( t[h^2] - t[T1^2] )"
+    # every coefficient negative: the sign joins the prefix
+    h2, t2 = trace(ALG.h() * ALG.h()), trace(ALG.t(1) * ALG.t(1))
+    e = h2.scale(Scalar(Fraction(-1, 2), pi=2)) + t2.scale(Scalar(Fraction(-1), pi=2))
+    assert format_trace_expression(e) == "-1/2*pi^2 * ( t[h^2] + 2*t[T1^2] )"
+    single = trace(ALG.x()).scale(Scalar(Fraction(-3, 4), pi=2))
+    assert format_trace_expression(single) == "-3/4*pi^2 * t[X]"
+    # mixed pi powers take no prefix
+    e = h2.scale(Scalar(Fraction(1), pi=2)) + t2.scale(Scalar(Fraction(-3), pi=1))
+    assert format_trace_expression(e) == "pi^2*t[h^2] - 3*pi*t[T1^2]"
 
 
 def test_format_zero():

@@ -84,6 +84,16 @@ def test_table_override_changes_result():
     assert wodzicki_residue(s, table) == trace(ALG.h()).scale(PI2(3))
 
 
+def test_table_override_keeps_the_pi_power():
+    table = SphereIntegralTable(D)
+    with pytest.raises(ValueError):
+        table.override((0, 0, 0, 0), Scalar(Fraction(1), pi=1))
+    table.override((2, 0, 0, 0), Scalar(Fraction(0), pi=1))
+    table.override((0, 0, 0, 0), PI2(3))
+    assert not table.get((2, 0, 0, 0))
+    assert table.get((0, 0, 0, 0)) == PI2(3)
+
+
 def test_residue_ignores_other_degrees():
     s = Symbol(
         D,
@@ -330,3 +340,17 @@ def test_power_one_never_forms_the_last_parametrix_term(monkeypatch, spec):
     assert depths == [d - 3]
     # b_(d-2) itself was never built, yet the residue is the unfused one
     assert got == unfused_residue(spec, 1)
+
+
+@pytest.mark.parametrize("d, power, torsion", [(4, 1, True), (4, 2, True), (6, 2, False)])
+def test_residue_is_traced_once(monkeypatch, d, power, torsion):
+    # every pair of every alpha goes into one word sum, traced once
+    traced = []
+
+    def counting(p):
+        traced.append(p)
+        return trace(p)
+
+    monkeypatch.setattr(wres, "trace", counting)
+    assert not wres_inverse_power(OperatorSpec(d=d, include_t=torsion), power).is_zero()
+    assert len(traced) == 1
