@@ -33,6 +33,12 @@ type of trace expressions, where the sphere moments bring pi in.
 ``TraceExpression`` elsewhere are finite sums of keys with nonzero
 coefficients, and share zero, equality, sum, negation and scaling.
 ``_accumulate`` is the one sparse merge all three build their results with.
+
+``WordSum`` is the one kernel that multiplies word sums: ``NCPoly``
+products, every symbol product and the residue pass build through it.
+It accumulates integer numerators over one common denominator, so the
+pair loop does no gcd; ``Fraction``s are formed once per word of the
+result, and every coefficient that leaves the kernel is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from typing import Iterable
 
 KIND_RANK = {"H": 0, "Hinv": 1, "T": 2, "X": 3}
@@ -96,7 +103,8 @@ class Scalar:
 class Letter:
     """A single generator, possibly derived.
 
-    ``axis`` is the 1-based direction for ``T`` letters and None otherwise.
+    ``axis`` is the 1-based direction for ``T`` letters, an int in
+    1..len(deriv), and None otherwise.
     ``deriv`` has one nonnegative entry per torus direction.
 
     Letters are interned: each distinct (kind, deriv, axis) is one object,
@@ -113,12 +121,15 @@ class Letter:
     def __new__(cls, kind: str, deriv: tuple[int, ...], axis: int | None = None):
         key = (kind, deriv, axis)
         let = cls._interned.get(key)
-        if let is not None:
+        # True and 1.0 hash like 1, so only a plain int axis may hit the table
+        if let is not None and (axis is None or type(axis) is int):
             return let
         if kind not in KIND_RANK:
             raise ValueError(f"unknown letter kind {kind!r}")
         if (kind == "T") != (axis is not None):
             raise ValueError("axis is required for T letters and only for them")
+        if axis is not None and (type(axis) is not int or not 1 <= axis <= len(deriv)):
+            raise ValueError(f"axis must be an int in 1..{len(deriv)}, not {axis!r}")
         if kind == "Hinv" and any(deriv):
             raise ValueError("derived inverse must be expanded, not stored")
         if any(n < 0 for n in deriv):
@@ -217,29 +228,68 @@ def _bump(deriv: tuple[int, ...], axis: int) -> tuple[int, ...]:
     return deriv[: axis - 1] + (deriv[axis - 1] + 1,) + deriv[axis:]
 
 
-def _mul_into(out: dict[Word, Fraction], t1: dict, t2: dict, c: int | Fraction = 1):
-    """Add c times the product of two word sums into ``out``.
+def _end_signs(word: Word) -> tuple[int, int]:
+    return (word[0]._sign, word[-1]._sign) if word else (3, 3)
 
-    ``t1`` and ``t2`` map normal words to nonzero coefficients; like
-    ``_accumulate``, the merge keeps no zero entry.  A ``c`` of 1 costs
-    no multiply.
+
+class WordSum:
+    """Exact sum of products of word sums: integer numerators ``num`` over
+    one denominator ``den``.
+
+    ``add_product`` reads each operand, a dict of normal words to nonzero
+    ``Fraction``s, once as a common denominator and integer numerators,
+    memoized by the dict's identity; the memo keeps the dict alive, so
+    the identity stays valid, and lives as long as the sum.  The pair
+    loop then does integer multiplies and adds only: no gcd and no new
+    ``Fraction`` per product.  ``terms`` forms the ``Fraction``s once
+    per surviving word.  Sums built together may share one memo.
     """
-    scaled = c != 1
-    for w1, s1 in t1.items():
-        if scaled:
-            s1 = s1 * c
-        for w2, s2 in t2.items():
-            key = _join(w1, w2)
-            value = s1 * s2
-            cur = out.get(key)
-            if cur is None:
-                out[key] = value
-                continue
-            value += cur
-            if value:
-                out[key] = value
-            else:
-                del out[key]
+
+    __slots__ = ("num", "den", "_forms")
+
+    def __init__(self, forms: dict | None = None):
+        self.num: dict[Word, int] = {}
+        self.den = 1
+        self._forms = {} if forms is None else forms
+
+    def _form(self, terms: dict) -> tuple:
+        form = self._forms.get(id(terms))
+        if form is None:
+            den = lcm(*(q.denominator for q in terms.values()))
+            # each word carries the signs of its end letters (3 for the
+            # empty word, which cancels with nothing), so the pair loop
+            # calls _join only where the junction cancels
+            items = [
+                (w, q.numerator * (den // q.denominator), *_end_signs(w))
+                for w, q in terms.items()
+            ]
+            form = self._forms[id(terms)] = (den, items, terms)
+        return form
+
+    def add_product(self, t1: dict, t2: dict, c: int | Fraction = 1):
+        """Add c times the product of the word sums ``t1`` and ``t2``."""
+        d1, items1, _ = self._form(t1)
+        d2, items2, _ = self._form(t2)
+        pair_den = d1 * d2 * c.denominator
+        den, num = self.den, self.num
+        if den % pair_den:
+            new = lcm(den, pair_den)
+            up = new // den
+            for key in num:
+                num[key] *= up
+            self.den = den = new
+        f = den // pair_den * c.numerator
+        get = num.get
+        for w1, n1, _, tail in items1:
+            n1 *= f
+            for w2, n2, head, _ in items2:
+                key = _join(w1, w2) if tail + head == 0 else w1 + w2
+                num[key] = get(key, 0) + n1 * n2
+
+    def terms(self) -> dict[Word, Fraction]:
+        """The sum as normal words to nonzero ``Fraction``s."""
+        den = self.den
+        return {w: Fraction(n, den) for w, n in self.num.items() if n}
 
 
 def _accumulate(terms: dict, key, value):
@@ -367,9 +417,9 @@ class NCPoly(Combination):
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, NCPoly):
             self._check(other)
-            out: dict[Word, Fraction] = {}
-            _mul_into(out, self.terms, other.terms)
-            return NCPoly._trusted(self.d, out)
+            out = WordSum()
+            out.add_product(self.terms, other.terms)
+            return NCPoly._trusted(self.d, out.terms())
         return self.scale(other)
 
     def __rmul__(self, other) -> "NCPoly":

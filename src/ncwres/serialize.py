@@ -3,7 +3,10 @@
 Every emitter sorts its output, so equal values serialize to equal
 structures, and every parser rebuilds the exact value: rationals travel
 as integer pairs and floats as JSON numbers, which round-trip bit for
-bit through Python's json module.
+bit through Python's json module.  A parser checks the shape it reads: a
+letter's ``deriv`` has one integer per dimension, and a scalar's ``num``,
+``den`` and ``pi`` are integers (bool refused) with ``den`` nonzero.
+Anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,18 @@ def scalar_to_json(sc: Scalar) -> dict:
 
 
 def scalar_from_json(obj: dict) -> Scalar:
-    return Scalar(Fraction(obj["num"], obj["den"]), obj["pi"])
+    num, den, pi = (_integer(obj, name) for name in ("num", "den", "pi"))
+    if not den:
+        raise ValueError("den must be nonzero")
+    return Scalar(Fraction(num, den), pi)
+
+
+def _integer(obj: dict, name: str) -> int:
+    # bool is an int subclass and is refused like any other non-int
+    value = obj[name]
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 def letter_to_json(let: Letter) -> dict:
@@ -37,16 +51,19 @@ def letter_to_json(let: Letter) -> dict:
     return out
 
 
-def letter_from_json(obj: dict) -> Letter:
-    return Letter(obj["base"], tuple(obj["deriv"]), obj.get("axis"))
+def letter_from_json(obj: dict, d: int) -> Letter:
+    deriv = tuple(obj["deriv"])
+    if len(deriv) != d or any(type(n) is not int for n in deriv):
+        raise ValueError(f"letter deriv must be {d} integers, not {obj['deriv']!r}")
+    return Letter(obj["base"], deriv, obj.get("axis"))
 
 
 def _word_to_json(word: Word) -> list:
     return [letter_to_json(let) for let in word]
 
 
-def _word_from_json(items: list) -> tuple[Letter, ...]:
-    return tuple(letter_from_json(it) for it in items)
+def _word_from_json(items: list, d: int) -> tuple[Letter, ...]:
+    return tuple(letter_from_json(it, d) for it in items)
 
 
 def poly_to_json(p: NCPoly) -> dict:
@@ -62,9 +79,10 @@ def poly_to_json(p: NCPoly) -> dict:
 def poly_from_json(obj: dict, d: int) -> NCPoly:
     terms: dict[Word, Fraction] = {}
     for term in obj["terms"]:
+        coef = scalar_from_json(term["coef"])
         if term["coef"]["pi"]:
             raise ValueError("polynomial coefficients are rational; pi is not allowed")
-        _accumulate(terms, _word_from_json(term["word"]), scalar_from_json(term["coef"]).q)
+        _accumulate(terms, _word_from_json(term["word"], d), coef.q)
     # the constructor normalizes each word and merges words that meet
     return NCPoly(d, terms)
 
@@ -87,7 +105,7 @@ def trace_expression_from_json(obj: dict, d: int) -> TraceExpression:
     for term in obj["terms"]:
         if not term.get("trace"):
             raise ValueError("trace expression term lacks the trace marker")
-        tw = TraceWord.make(_word_from_json(term["word"]))
+        tw = TraceWord.make(_word_from_json(term["word"], d))
         _accumulate(terms, tw, scalar_from_json(term["coef"]))
     return TraceExpression._trusted(d, terms)
 

@@ -20,9 +20,11 @@ with the coefficients of P kept to the left.  ``gamma_pairs`` is its one
 expansion: it walks gamma depth first and yields (1/gamma!, m1, c1, m2,
 c2) for every monomial pair of d_xi^gamma P and delta^gamma Q whose degree
 lies in a band lo..hi, pruning what can no longer reach lo.  ``compose``
-multiplies those pairs into one word sum per monomial, as
-``Symbol.pointwise_mul`` does with the plain pairs; the residue pass in
-``wres`` sums them all, weighted by their sphere moments, into one.
+multiplies those pairs into one ``ncalg.WordSum`` per monomial, as
+``Symbol.pointwise_mul`` does with the plain pairs; the sums of one
+product share one memo of their operands' integer forms.  The residue
+pass in ``wres`` sums all the pairs, weighted by their sphere moments,
+into a single ``WordSum``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
 
-from .ncalg import Combination, NCPoly, _accumulate, _mul_into, format_poly
+from .ncalg import Combination, NCPoly, WordSum, _accumulate, format_poly
 
 
 @dataclass(frozen=True)
@@ -166,13 +168,17 @@ def _gamma_factorial(gamma: tuple[int, ...]) -> int:
 
 def _sum_pairs(d: int, pairs) -> Symbol:
     """Sum c . c1 c2 at xi^(m1 m2) over (c, m1, c1, m2, c2), multiplying the
-    word sums straight into one dict per monomial."""
-    acc: dict[XiMonomial, dict] = {}
+    word sums straight into one ``WordSum`` per monomial; a monomial whose
+    words all cancel is dropped."""
+    acc: dict[XiMonomial, WordSum] = {}
+    forms: dict = {}
     for c, m1, c1, m2, c2 in pairs:
-        _mul_into(acc.setdefault(m1 * m2, {}), c1.terms, c2.terms, c)
-    return Symbol._trusted(
-        d, {mono: NCPoly._trusted(d, words) for mono, words in acc.items() if words}
-    )
+        mono = m1 * m2
+        if mono not in acc:
+            acc[mono] = WordSum(forms)
+        acc[mono].add_product(c1.terms, c2.terms, c)
+    sums = {mono: words.terms() for mono, words in acc.items()}
+    return Symbol._trusted(d, {m: NCPoly._trusted(d, t) for m, t in sums.items() if t})
 
 
 def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):

@@ -16,7 +16,8 @@ One function, ``_product_residue``, reads every residue, that of a
 product P # Q, without forming the product.  It visits the monomial pairs
 of ``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if
 the table gives its summed alpha a nonzero moment, a rational times
-pi^(d/2), and sums every pair into one word sum, traced once.
+pi^(d/2), and sums every pair into one ``ncalg.WordSum``, exact integer
+numerators over one denominator, whose words are traced once.
 ``wodzicki_residue`` reads a symbol s as s # 1, ``wres_inverse_power``
 reads the product that reaches degree ``-d``, and ``trace_property_probe``
 reads P # Q and Q # P.  The table caches every moment and an override
@@ -31,7 +32,7 @@ from math import factorial
 from operator import add
 
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_series
-from .ncalg import NCPoly, Scalar, Word, _mul_into
+from .ncalg import NCPoly, Scalar, WordSum
 from .symcalc import Symbol, XiMonomial, compose, gamma_pairs
 from .trace import TraceExpression, trace, trace_equal
 
@@ -88,8 +89,10 @@ def _product_residue(
 
     ``tail`` is one monomial, or None for the identity.  Every moment is
     a rational times pi^(d/2), so each pair with a nonzero moment in the
-    table (overrides included) goes into one word sum, weighted by that
-    rational; the sum, times the tail's coefficient, is traced once.
+    table (overrides included) goes into one ``WordSum``, weighted by
+    1/gamma! times that rational.  The pair loop multiplies integers
+    only; the sum's ``Fraction``s, times the tail's coefficient, are
+    traced once.
     """
     d = p.d
     table = SphereIntegralTable(d) if table is None else table
@@ -98,12 +101,12 @@ def _product_residue(
         ((mono, right),) = tail.terms.items()
         band, shift = -d - mono.degree, mono.alpha
     moment = table.get
-    words: dict[Word, Fraction] = {}
+    words = WordSum()
     for inv, m1, c1, m2, c2 in gamma_pairs(p, q, band, band):
         m = moment(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
         if m:
-            _mul_into(words, c1.terms, c2.terms, inv * m.q)
-    coef = NCPoly._trusted(d, words)
+            words.add_product(c1.terms, c2.terms, inv * m.q)
+    coef = NCPoly._trusted(d, words.terms())
     if right is not None:
         coef = coef * right
     return trace(coef).scale(Scalar(1, d // 2))

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,13 @@ from ncwres.ncalg import (
     format_word,
     normalize_word,
     Combination,
+    WordSum,
     _bump,
     _cancels,
     _join,
 )
 from ncwres.serialize import poly_from_json, poly_to_json
-from ncwres.symcalc import Symbol
+from ncwres.symcalc import Symbol, XiMonomial, compose
 from ncwres.trace import TraceExpression, trace
 
 D = 2
@@ -54,6 +56,12 @@ def test_letter_validation():
         Letter("H", (0, 0), axis=1)  # only T takes one
     with pytest.raises(ValueError):
         Letter("Hinv", (1, 0))  # derived inverse must be expanded
+    Letter("T", (0, 0), axis=1)  # interned first, so True would hash onto it
+    for axis in (9, 3, 0, -1, 1.5, 1.0, True, False, "1"):
+        with pytest.raises(ValueError):
+            Letter("T", (0, 0), axis=axis)
+    assert Letter("T", (0, 0), axis=2).axis == 2
+    assert type(Letter("T", (0, 0), axis=1).axis) is int
 
 
 def test_normalize_cancels_nested_pairs():
@@ -425,3 +433,94 @@ def test_word_json_round_trip_is_byte_identical(p):
     # letters compare by identity, so this holds only if parsing returns
     # the interned letters themselves
     assert back == p
+
+
+# -- the integer word-sum kernel --------------------------------------------
+
+KERNEL_LETTERS = (
+    Letter("H", (0, 0)),
+    Letter("Hinv", (0, 0)),
+    Letter("H", (1, 0)),
+    Letter("T", (0, 0), axis=1),
+    Letter("X", (0, 0)),
+)
+
+
+def _random_word_sum(rng: random.Random) -> dict:
+    """Normal words to nonzero Fractions with small mixed denominators."""
+    out: dict = {}
+    for _ in range(rng.randint(1, 6)):
+        word = normalize_word(rng.choice(KERNEL_LETTERS) for _ in range(rng.randint(0, 3)))
+        q = Fraction(rng.choice((-7, -3, -2, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4, 6, 8, 15)))
+        out[word] = out.get(word, 0) + q
+    return {w: q for w, q in out.items() if q}
+
+
+def _kernel_products(seed: int) -> list:
+    rng = random.Random(seed)
+    products = []
+    for c in (1, -1, 3, Fraction(1, 6), 1, Fraction(1, 6)):
+        products.append((_random_word_sum(rng), _random_word_sum(rng), c))
+    # a second copy of one product, negated through a different dict, so
+    # its words cancel completely; the memo keys the two dicts apart
+    t1, t2, c = products[1]
+    products.append(({w: -q for w, q in t1.items()}, t2, c))
+    # h . h^-1 meets 1 . 1 inside one product: 1 - 1 cancels there
+    h, hi = (KERNEL_LETTERS[0],), (KERNEL_LETTERS[1],)
+    products.append(({h: Fraction(1, 2), (): Fraction(1, 2)}, {hi: 2, (): -2}, 1))
+    return products
+
+
+def _reference_sum(products) -> dict:
+    out: dict = {}
+    for t1, t2, c in products:
+        for w1, q1 in t1.items():
+            for w2, q2 in t2.items():
+                key = normalize_word(w1 + w2)
+                out[key] = out.get(key, 0) + c * q1 * q2
+    return {w: q for w, q in out.items() if q}
+
+
+def _raise(*args):
+    raise AssertionError("Fraction arithmetic in the pair loop")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_word_sum_matches_a_fraction_loop(monkeypatch, seed):
+    products = _kernel_products(seed)
+    want = _reference_sum(products)
+    acc = WordSum()
+    for t1, t2, c in products:
+        acc.add_product(t1, t2, c)
+    got = acc.terms()
+    assert got == want
+    assert all(type(q) is Fraction and q for q in got.values())
+    assert any(v == 0 for v in acc.num.values())  # cancelled words are dropped only at the end
+    # the same products again, with every Fraction sum and product refused
+    acc = WordSum()
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            patch.setattr(Fraction, name, _raise)
+        for t1, t2, c in products:
+            acc.add_product(t1, t2, c)
+    assert acc.terms() == want
+
+
+def test_word_sum_of_nothing_is_empty():
+    acc = WordSum()
+    acc.add_product({}, {(KERNEL_LETTERS[4],): Fraction(1, 3)})
+    assert acc.terms() == {}
+    assert NCPoly.zero(D) * ALG.x() == NCPoly.zero(D)
+
+
+def test_compose_drops_a_monomial_that_cancels():
+    # P = xi1 . hX + 1 . hX and Q = 1 - xi1: at xi1 the pairs hX . 1 and
+    # hX . (-1) cancel, and no derivative of Q survives
+    hx = ALG.h() * ALG.x()
+    one, xi1 = XiMonomial((0, 0)), XiMonomial((1, 0))
+    p = Symbol(D, {xi1: hx, one: hx})
+    q = Symbol(D, {one: ALG.one(), xi1: -ALG.one()})
+    out = compose(p, q, 0)
+    assert xi1 not in out.terms
+    assert out == Symbol(D, {one: hx, XiMonomial((2, 0)): -hx})
+    assert all(coef.terms and all(coef.terms.values()) for coef in out.terms.values())

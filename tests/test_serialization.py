@@ -155,6 +155,45 @@ def test_poly_from_json_rejects_pi():
         poly_from_json(obj, D)
 
 
+@pytest.mark.parametrize(
+    "coef",
+    [
+        {"num": 1, "den": 0, "pi": 0},
+        {"num": 0.5, "den": 1, "pi": 0},
+        {"num": 1, "den": 2.0, "pi": 0},
+        {"num": True, "den": 1, "pi": 0},
+        {"num": 1, "den": True, "pi": 0},
+        {"num": 1, "den": 1, "pi": True},
+        {"num": 1, "den": 1, "pi": 1.5},
+        {"num": "1", "den": 1, "pi": 0},
+    ],
+)
+def test_scalar_from_json_checks_the_shape(coef):
+    with pytest.raises(ValueError):
+        scalar_from_json(coef)
+    obj = {"terms": [{"coef": coef, "word": [{"base": "H", "deriv": [0, 0]}], "trace": True}]}
+    with pytest.raises(ValueError):
+        trace_expression_from_json(obj, 2)
+    with pytest.raises(ValueError):
+        poly_from_json(obj, 2)
+
+
+@pytest.mark.parametrize(
+    "d, deriv", [(4, [1, 0]), (2, [0, 0, 0, 1]), (2, []), (2, [0.5, 0]), (2, [True, 0])]
+)
+def test_parsers_check_the_letter_shape(d, deriv):
+    letter = {"base": "H", "deriv": deriv}
+    poly = {"terms": [{"coef": {"num": 1, "den": 1, "pi": 0}, "word": [letter]}]}
+    with pytest.raises(ValueError):
+        poly_from_json(poly, d)
+    expr = {"terms": [{"coef": {"num": 1, "den": 1, "pi": 2}, "word": [letter], "trace": True}]}
+    with pytest.raises(ValueError):
+        trace_expression_from_json(expr, d)
+    symbol = {"components": {"0": [{"coef": poly, "alpha": [0] * d, "m": 0}]}}
+    with pytest.raises(ValueError):
+        symbol_from_json(symbol, d)
+
+
 def test_assignment_round_trip():
     theta = ThetaMatrix([[0.0, 0.3137], [-0.3137, 0.0]])
     h = FourierElement(theta, {(0, 0): 1.0, (1, 0): 0.05, (-1, 0): 0.05})

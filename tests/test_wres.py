@@ -1,8 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from ncwres import parametrix, symcalc, wres
+from ncwres import parametrix, serialize, symcalc, wres
 from ncwres.ncalg import Algebra, NCPoly, Scalar
 from ncwres.parametrix import (
     OperatorSpec,
@@ -12,7 +14,7 @@ from ncwres.parametrix import (
 )
 from ncwres.randgen import random_probe_pair
 from ncwres.symcalc import Symbol, XiMonomial, compose, symbol_product
-from ncwres.trace import trace, trace_equal
+from ncwres.trace import ibp_reduce, trace, trace_equal
 from ncwres.verify import poisoned_table
 from ncwres.wres import (
     SphereIntegralTable,
@@ -354,3 +356,18 @@ def test_residue_is_traced_once(monkeypatch, d, power, torsion):
     monkeypatch.setattr(wres, "trace", counting)
     assert not wres_inverse_power(OperatorSpec(d=d, include_t=torsion), power).is_zero()
     assert len(traced) == 1
+
+
+# sha256 of the sorted JSON of ibp_reduce(Wres(Delta^-2)) at d=6, with its
+# term count; the same residues perfbench/reference.json records for eh-d6
+EH_D6 = {
+    False: ("bc295e08efdf6773a50f8936198622f76dfbd508737c661825a4fa927b440ced", 36),
+    True: ("faea6763e9f8f781c0ee06b618aacde8e8d57d83da86553a8f36df5fb4fb627c", 90),
+}
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+def test_eh_d6_residue_is_pinned(torsion):
+    reduced = ibp_reduce(wres_inverse_power(OperatorSpec(d=6, include_t=torsion), 2))
+    text = json.dumps(serialize.trace_expression_to_json(reduced), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(reduced.terms)) == EH_D6[torsion]
