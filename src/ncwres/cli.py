@@ -19,17 +19,14 @@ import time
 
 from .ncalg import Algebra
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_terms
-from .serialize import (
-    assignment_from_json,
-    symbol_to_json,
-    trace_expression_to_json,
-)
 from .trace import format_trace_expression, ibp_reduce, trace, trace_equal
 from .wres import wres_inverse_power
 
-# the numeric modules (fourier_oracle, randgen, verify) pull in numpy,
-# which would more than double the start-up of the symbolic subcommands;
-# verify and oracle-check import them when they run
+# start-up is a large share of a short command, so modules that only
+# some branches use are imported inside them: the numeric modules
+# (fourier_oracle, randgen, verify), which pull in numpy and would more
+# than double the start-up of the symbolic subcommands, and serialize,
+# which only --format json and --oracle-assignment need
 
 
 def resolve_seed(args) -> int:
@@ -138,6 +135,8 @@ def cmd_wres(args) -> int:
     if commutative and spec.d == 4 and args.power == 1 and not spec.include_t:
         verdict = trace_equal(reduced, _classical_residue(spec.d), commutative=True)
     if args.format == "json":
+        from .serialize import trace_expression_to_json
+
         payload = {"expression": trace_expression_to_json(reduced), "rendering": rendering}
         if verdict is not None:
             payload["classical_match"] = verdict
@@ -156,6 +155,8 @@ def cmd_parametrix(args) -> int:
         return _bad_input("--order must be nonnegative")
     res = parametrix_terms(laplace_symbol(spec), order)
     if args.format == "json":
+        from .serialize import symbol_to_json
+
         payload = {
             "terms": [symbol_to_json(term) for term in res.terms],
             "defect": symbol_to_json(res.defect),
@@ -212,6 +213,8 @@ def cmd_oracle_check(args) -> int:
     seed = resolve_seed(args)
     try:
         if args.oracle_assignment:
+            from .serialize import assignment_from_json
+
             with open(args.oracle_assignment) as fh:
                 asg = assignment_from_json(json.load(fh))
         else:
@@ -221,7 +224,7 @@ def cmd_oracle_check(args) -> int:
         asg.h_inverse()  # an h outside the Neumann radius fails here
     except KeyError as exc:
         return _bad_input(f"invalid oracle assignment: missing key {exc}")
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, OverflowError) as exc:
         return _bad_input(f"invalid oracle assignment: {exc}")
     checks = oracle_battery(asg)
     passed = all(c["passed"] for c in checks)

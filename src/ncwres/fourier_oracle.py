@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ncalg import Letter, NCPoly
+from .ncalg import Letter, NCPoly, Record
 from .symcalc import Symbol
 from .trace import TraceExpression
 
@@ -222,11 +221,13 @@ class FourierElement:
         return (self - self.adjoint()).norm1() <= tol
 
 
-@dataclass
-class NeumannResult:
-    element: FourierElement
-    tail_bound: float
-    terms: int
+class NeumannResult(Record):
+    __slots__ = ("element", "tail_bound", "terms")
+
+    def __init__(self, element: FourierElement, tail_bound: float, terms: int):
+        self.element = element
+        self.tail_bound = tail_bound
+        self.terms = terms
 
 
 def nc_invert_neumann(x: FourierElement, tol: float = 1e-12) -> NeumannResult:

@@ -34,6 +34,11 @@ type of trace expressions, where the sphere moments bring pi in.
 coefficients, and share zero, equality, sum, negation and scaling.
 ``_accumulate`` is the one sparse merge all three build their results with.
 
+``Record`` and ``Frozen`` give the package's small value classes
+(``Scalar`` here, ``XiMonomial``, ``OperatorSpec`` and the result records
+elsewhere) the repr, equality, hashing and pickling of their slotted
+fields, written once here rather than generated per class at start-up.
+
 ``WordSum`` is the one kernel that multiplies word sums: ``NCPoly``
 products, every symbol product and the residue pass build through it.
 It accumulates integer numerators over one common denominator, so the
@@ -43,7 +48,6 @@ result, and every coefficient that leaves the kernel is a ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
@@ -52,19 +56,68 @@ from typing import Iterable
 KIND_RANK = {"H": 0, "Hinv": 1, "T": 2, "X": 3}
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Record:
+    """Small slotted value class: repr, equality and pickling follow its
+    ``__slots__`` fields in order, which are also the constructor's
+    positional arguments.  Records are unhashable unless frozen."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+class Frozen(Record):
+    """Immutable ``Record``, hashed by value.  Constructors set the fields
+    through ``object.__setattr__``; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Scalar(Frozen):
     """Exact coefficient q * pi^k with rational q."""
 
-    q: Fraction
-    pi: int = 0
+    __slots__ = ("q", "pi")
 
-    def __post_init__(self):
-        if not isinstance(self.q, Fraction):
-            object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, q: Fraction, pi: int = 0):
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
         # canonical zero: 0 * pi^k == 0 * pi^0
-        if self.q == 0 and self.pi != 0:
-            object.__setattr__(self, "pi", 0)
+        if q == 0 and pi != 0:
+            pi = 0
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "pi", pi)
+
+    # written out rather than read through _fields: these run in hot loops
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.q == other.q and self.pi == other.pi
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.pi))
 
     def __bool__(self) -> bool:
         return self.q != 0
@@ -126,6 +179,9 @@ class Letter:
             return let
         if kind not in KIND_RANK:
             raise ValueError(f"unknown letter kind {kind!r}")
+        # True and 1.0 would hash onto the letter of 1, and 0.5 has no order
+        if type(deriv) is not tuple or any(type(n) is not int for n in deriv):
+            raise ValueError(f"deriv must be a tuple of ints, not {deriv!r}")
         if (kind == "T") != (axis is not None):
             raise ValueError("axis is required for T letters and only for them")
         if axis is not None and (type(axis) is not int or not 1 <= axis <= len(deriv)):

@@ -23,10 +23,9 @@ inverse is exact and the recursion stays inside the free algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncalg import Algebra, Letter, NCPoly
+from .ncalg import Algebra, Frozen, Letter, NCPoly, Record
 from .symcalc import (
     Symbol,
     XiMonomial,
@@ -37,24 +36,24 @@ from .symcalc import (
 )
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Frozen):
     """Configuration of the operator: dimension, torsion, potential,
     and the flat (h = 1) degeneration."""
 
-    d: int = 4
-    include_t: bool = True
-    include_x: bool = False
-    flat: bool = False
+    __slots__ = ("d", "include_t", "include_x", "flat")
 
-    def __post_init__(self):
-        if type(self.d) is not int:
-            raise ValueError(f"dimension must be an int, not {self.d!r}")
-        for name in ("include_t", "include_x", "flat"):
-            if type(getattr(self, name)) is not bool:
+    def __init__(
+        self, d: int = 4, include_t: bool = True, include_x: bool = False, flat: bool = False
+    ):
+        if type(d) is not int:
+            raise ValueError(f"dimension must be an int, not {d!r}")
+        for name, value in (("include_t", include_t), ("include_x", include_x), ("flat", flat)):
+            if type(value) is not bool:
                 raise ValueError(f"{name} must be true or false")
-        if self.d < 2 or self.d % 2:
+        if d < 2 or d % 2:
             raise ValueError("dimension must be even and at least 2")
+        for name, value in zip(self.__slots__, (d, include_t, include_x, flat)):
+            object.__setattr__(self, name, value)
 
 
 def laplace_symbol(spec: OperatorSpec) -> Symbol:
@@ -117,11 +116,13 @@ def _apply_gamma(s: Symbol, gamma: tuple[int, ...], xi_side: bool) -> Symbol:
     return s
 
 
-@dataclass
-class ParametrixResult:
-    side: str
-    terms: list[Symbol]
-    defect: Symbol
+class ParametrixResult(Record):
+    __slots__ = ("side", "terms", "defect")
+
+    def __init__(self, side: str, terms: list[Symbol], defect: Symbol):
+        self.side = side
+        self.terms = terms
+        self.defect = defect
 
     def total(self) -> Symbol:
         return sum(self.terms, Symbol.zero(self.terms[0].d))

@@ -29,22 +29,33 @@ into a single ``WordSum``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
 
-from .ncalg import Combination, NCPoly, WordSum, _accumulate, format_poly
+from .ncalg import Combination, Frozen, NCPoly, WordSum, _accumulate, format_poly
 
 
-@dataclass(frozen=True)
-class XiMonomial:
-    alpha: tuple[int, ...]
-    m: int = 0
+class XiMonomial(Frozen):
+    """xi^alpha |xi|^(2m)."""
 
-    def __post_init__(self):
-        if any(a < 0 for a in self.alpha):
+    __slots__ = ("alpha", "m")
+
+    def __init__(self, alpha: tuple[int, ...], m: int = 0):
+        if any(a < 0 for a in alpha):
             raise ValueError("xi exponents must be nonnegative")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "m", m)
+
+    # written out rather than read through _fields: every pair of a
+    # symbol product looks its monomial up in a dict
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alpha == other.alpha and self.m == other.m
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.m))
 
     @property
     def degree(self) -> int:

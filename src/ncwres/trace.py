@@ -10,6 +10,12 @@ drive this module:
   trace words (integration by parts), which we put into row echelon form
   and use to rewrite expressions canonically.
 
+A ``TraceWord`` is that canonical representative, interned like a
+``Letter``: one object per canonical word, compared and hashed by
+identity, with its derivative order computed once.  Each relation system
+also memoizes raw word -> ``TraceWord`` while it lives, since the same
+lowered words recur across its relations.
+
 Relations are generated by need rather than by blind enumeration: starting
 from the words of the expression, every word obtained by lowering one
 derivative exponent is used as a generator g, contributing the relations
@@ -24,7 +30,6 @@ the order in which they were found.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -64,17 +69,50 @@ def canonical_cycle(word: Iterable[Letter]) -> Word:
     return tuple(w[best:] + w[:best])
 
 
-@dataclass(frozen=True)
 class TraceWord:
-    word: Word
+    """A trace word: the canonical representative of a cyclic class.
 
-    @classmethod
-    def make(cls, word: Iterable[Letter]) -> "TraceWord":
-        return cls(canonical_cycle(word))
+    ``TraceWord(word)`` and ``TraceWord.make(word)`` take any word and
+    canonicalize it.  Trace words are interned like letters: each
+    canonical word is one object, so equality and hashing are identity,
+    and ``order`` is computed once, when the word is first made.  A raw
+    word that is already canonical finds its object without being
+    canonicalized again.  The intern table lives as long as the process.
+    """
 
-    @property
-    def order(self) -> int:
-        return sum(let.order for let in self.word)
+    __slots__ = ("word", "order")
+    _interned: dict = {}
+
+    def __new__(cls, word: Iterable[Letter]):
+        word = tuple(word)
+        tw = cls._interned.get(word)
+        if tw is not None:
+            return tw
+        word = canonical_cycle(word)
+        tw = cls._interned.get(word)
+        if tw is not None:
+            return tw
+        tw = object.__new__(cls)
+        object.__setattr__(tw, "word", word)
+        object.__setattr__(tw, "order", sum(let.order for let in word))
+        # setdefault is atomic, so racing threads still share one object
+        return cls._interned.setdefault(word, tw)
+
+    # the same constructor, without the type call
+    make = classmethod(__new__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned trace word")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an interned trace word")
+
+    def __reduce__(self):
+        # copies and unpickled trace words resolve to the interned object
+        return (TraceWord, (self.word,))
+
+    def __repr__(self) -> str:
+        return f"TraceWord(word={self.word!r})"
 
     def __len__(self) -> int:
         return len(self.word)
@@ -192,14 +230,19 @@ class ReductionSystem(Echelon):
         self.cap_len = max((len(tw) for tw in seed_list), default=0) + 1
         self._seen_words = set(seed_list)
         self._seen_gens: set[TraceWord] = set()
+        self._memo: dict[Word, TraceWord] = {}
         queue = deque(seed_list)
         while queue:
             self._explore(queue.popleft(), queue)
 
     def _canon(self, word: Word) -> TraceWord:
-        if self.commutative:
-            word = commutative_word(self.d, word)
-        return TraceWord.make(word)
+        # the same raw words recur across relations; the memo is this
+        # system's own and goes with it
+        tw = self._memo.get(word)
+        if tw is None:
+            image = commutative_word(self.d, word) if self.commutative else word
+            tw = self._memo[word] = TraceWord(image)
+        return tw
 
     def _relation(self, gen: TraceWord, axis: int) -> dict[TraceWord, Fraction]:
         """Row for t(d_axis(gen)) = 0."""

@@ -266,6 +266,8 @@ def _set_t1_part(obj, part, value):
         pytest.param(["verify", "--d", "0"], None, id="verify-d0"),
         pytest.param(["oracle-check", "--d", "0"], None, id="oracle-d0"),
         pytest.param(["oracle-check", "--d", "1"], None, id="oracle-d1"),
+        # the product modes of h^-1 overflow the int64 linear index
+        pytest.param(["oracle-check", "--d", "12"], None, id="oracle-d12"),
         pytest.param(
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],
             None,
@@ -362,6 +364,31 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path, argv, content):
     assert captured.out == ""
     assert captured.err.startswith("ncwres: ")
     assert captured.err.count("\n") == 1
+
+
+def test_start_up_imports_only_what_the_command_needs():
+    src = str(Path(ncwres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "import ncwres.cli\n"
+        "ncwres.cli.main(sys.argv[1:])\n"
+        "print(sorted(m for m in ('dataclasses', 'ncwres.serialize', 'numpy')"
+        " if m in sys.modules))\n"
+    )
+    for argv, loaded in (
+        (["wres", "--d", "4"], "[]"),
+        (["wres", "--d", "4", "--format", "json"], "['ncwres.serialize']"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == loaded
 
 
 def test_symbolic_path_does_not_import_numpy():

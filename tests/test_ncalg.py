@@ -23,6 +23,7 @@ from ncwres.ncalg import (
     _cancels,
     _join,
 )
+from ncwres.parametrix import OperatorSpec
 from ncwres.serialize import poly_from_json, poly_to_json
 from ncwres.symcalc import Symbol, XiMonomial, compose
 from ncwres.trace import TraceExpression, trace
@@ -62,6 +63,11 @@ def test_letter_validation():
             Letter("T", (0, 0), axis=axis)
     assert Letter("T", (0, 0), axis=2).axis == 2
     assert type(Letter("T", (0, 0), axis=1).axis) is int
+    # keys no other test interns, so each call reaches the checks
+    for deriv in ((True, 7), (0.5, 0), (1.0, 9), ("1", 0)):
+        with pytest.raises(ValueError):
+            Letter("H", deriv)
+    assert type(Letter("H", (1, 7)).deriv[0]) is int
 
 
 def test_normalize_cancels_nested_pairs():
@@ -346,6 +352,33 @@ def test_format_word_mixed():
 
 def test_format_zero():
     assert format_poly(ALG.zero()) == "0"
+
+
+# -- value classes -------------------------------------------------------
+
+
+def test_value_classes_keep_their_behaviour():
+    assert Scalar(0, 3) == Scalar(0) and hash(Scalar(0, 3)) == hash(Scalar(0))
+    assert Scalar(0, 3).pi == 0 and Scalar(q=Fraction(1, 2), pi=2) == Scalar(Fraction(1, 2), 2)
+    assert Scalar(2) != Scalar(2, 1) and Scalar(1) != Fraction(1)
+    assert type(Scalar(3).q) is Fraction and repr(Scalar(3, 1)) == "Scalar(3, pi=1)"
+    mono = XiMonomial((1, 0), m=-1)
+    assert mono == XiMonomial(alpha=(1, 0), m=-1) and mono != XiMonomial((1, 0))
+    assert hash(mono) == hash(XiMonomial((1, 0), -1))
+    assert repr(mono) == "XiMonomial(alpha=(1, 0), m=-1)"
+    with pytest.raises(ValueError):
+        XiMonomial((-1, 0))
+    spec = OperatorSpec(6, include_t=False)
+    assert repr(spec) == "OperatorSpec(d=6, include_t=False, include_x=False, flat=False)"
+    assert spec == OperatorSpec(d=6, include_t=False) and hash(spec) == hash(OperatorSpec(6, False))
+    with pytest.raises(TypeError, match=r"__init__\(\) got an unexpected keyword argument 'k'"):
+        OperatorSpec(**{"d": 4, "k": 1})
+    for obj, name in ((Scalar(1), "q"), (mono, "m"), (spec, "d")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert copy.deepcopy(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
 
 
 # -- interned letters ------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -41,6 +43,22 @@ def test_canonical_cycle_wraparound_cancellation():
     assert canonical_cycle((HI, X, H)) == (X,)
     assert canonical_cycle((H, DH, HI)) == (DH,)
     assert canonical_cycle((H, HI)) == ()
+
+
+def test_trace_words_are_interned():
+    w = (H, T1, DH, X)
+    tw = TraceWord.make(w)
+    for i in range(len(w)):
+        assert TraceWord.make(w[i:] + w[:i]) is tw
+        assert TraceWord(list(w[i:] + w[:i])) is tw
+    assert tw.word == canonical_cycle(w)
+    assert tw.order == 1 and len(tw) == 4
+    assert TraceWord.make((H, HI)) is TraceWord(())
+    assert copy.copy(tw) is tw and copy.deepcopy(tw) is tw
+    assert pickle.loads(pickle.dumps(tw)) is tw
+    assert repr(TraceWord((X,))) == f"TraceWord(word=({X!r},))"
+    with pytest.raises(AttributeError):
+        tw.word = ()
 
 
 def test_trace_is_cyclic_on_products():
