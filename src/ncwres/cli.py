@@ -211,21 +211,27 @@ def cmd_oracle_check(args) -> int:
     from .verify import oracle_battery
 
     seed = resolve_seed(args)
+    source = "oracle assignment" if args.oracle_assignment else f"--d {args.d}"
     try:
         if args.oracle_assignment:
             from .serialize import assignment_from_json
 
             with open(args.oracle_assignment) as fh:
                 asg = assignment_from_json(json.load(fh))
+            d = asg.d
         else:
-            asg = random_assignment(args.d, seed)
-        if asg.d < 2:
+            d = args.d
+        if d < 2:
             raise ValueError("dimension must be at least 2")
-        asg.h_inverse()  # an h outside the Neumann radius fails here
+        if not args.oracle_assignment:
+            asg = random_assignment(d, seed)
+        # an h outside the Neumann radius, or a d whose product modes
+        # overflow the oracle's linear index, fails here
+        asg.h_inverse()
     except KeyError as exc:
         return _bad_input(f"invalid oracle assignment: missing key {exc}")
     except (ValueError, TypeError, OSError, OverflowError) as exc:
-        return _bad_input(f"invalid oracle assignment: {exc}")
+        return _bad_input(f"invalid {source}: {exc}")
     checks = oracle_battery(asg)
     passed = all(c["passed"] for c in checks)
     report = {"seed": seed, "d": asg.d, "checks": checks, "passed": passed}

@@ -39,11 +39,13 @@ coefficients, and share zero, equality, sum, negation and scaling.
 elsewhere) the repr, equality, hashing and pickling of their slotted
 fields, written once here rather than generated per class at start-up.
 
-``WordSum`` is the one kernel that multiplies word sums: ``NCPoly``
+``WordSum`` is the one kernel that multiplies polynomials: ``NCPoly``
 products, every symbol product and the residue pass build through it.
 It accumulates integer numerators over one common denominator, so the
 pair loop does no gcd; ``Fraction``s are formed once per word of the
 result, and every coefficient that leaves the kernel is a ``Fraction``.
+An operand's integer form is built once and kept on the ``NCPoly``, so
+every product that reads it shares it and it is freed with it.
 """
 
 from __future__ import annotations
@@ -284,48 +286,26 @@ def _bump(deriv: tuple[int, ...], axis: int) -> tuple[int, ...]:
     return deriv[: axis - 1] + (deriv[axis - 1] + 1,) + deriv[axis:]
 
 
-def _end_signs(word: Word) -> tuple[int, int]:
-    return (word[0]._sign, word[-1]._sign) if word else (3, 3)
-
-
 class WordSum:
-    """Exact sum of products of word sums: integer numerators ``num`` over
-    one denominator ``den``.
+    """Exact sum of products of ``NCPoly``s: integer numerators ``num``
+    over one denominator ``den``.
 
-    ``add_product`` reads each operand, a dict of normal words to nonzero
-    ``Fraction``s, once as a common denominator and integer numerators,
-    memoized by the dict's identity; the memo keeps the dict alive, so
-    the identity stays valid, and lives as long as the sum.  The pair
-    loop then does integer multiplies and adds only: no gcd and no new
-    ``Fraction`` per product.  ``terms`` forms the ``Fraction``s once
-    per surviving word.  Sums built together may share one memo.
+    ``add_product`` reads each operand's integer form, so the pair loop
+    does integer multiplies and adds only: no gcd and no new ``Fraction``
+    per product.  ``terms`` forms the ``Fraction``s once per surviving
+    word.  The sum keeps no reference to its operands.
     """
 
-    __slots__ = ("num", "den", "_forms")
+    __slots__ = ("num", "den")
 
-    def __init__(self, forms: dict | None = None):
+    def __init__(self):
         self.num: dict[Word, int] = {}
         self.den = 1
-        self._forms = {} if forms is None else forms
 
-    def _form(self, terms: dict) -> tuple:
-        form = self._forms.get(id(terms))
-        if form is None:
-            den = lcm(*(q.denominator for q in terms.values()))
-            # each word carries the signs of its end letters (3 for the
-            # empty word, which cancels with nothing), so the pair loop
-            # calls _join only where the junction cancels
-            items = [
-                (w, q.numerator * (den // q.denominator), *_end_signs(w))
-                for w, q in terms.items()
-            ]
-            form = self._forms[id(terms)] = (den, items, terms)
-        return form
-
-    def add_product(self, t1: dict, t2: dict, c: int | Fraction = 1):
-        """Add c times the product of the word sums ``t1`` and ``t2``."""
-        d1, items1, _ = self._form(t1)
-        d2, items2, _ = self._form(t2)
+    def add_product(self, p1: "NCPoly", p2: "NCPoly", c: int | Fraction = 1):
+        """Add c times the product ``p1 p2``."""
+        d1, items1 = p1._int_form()
+        d2, items2 = p2._int_form()
         pair_den = d1 * d2 * c.denominator
         den, num = self.den, self.num
         if den % pair_den:
@@ -443,10 +423,13 @@ class NCPoly(Combination):
     """Finite rational combination of normalized words.
 
     The constructor normalizes every key and merges keys that become
-    equal, so no caller can store a non-normal word.
+    equal, so no caller can store a non-normal word.  ``terms`` never
+    changes after construction, so the integer form that ``WordSum``
+    reads is computed from it once, on first use, and kept in ``_form``
+    for the life of the polynomial.
     """
 
-    __slots__ = ()
+    __slots__ = ("_form",)
 
     def __init__(self, d: int, terms: dict[Word, int | Fraction] | None = None):
         self.d = d
@@ -466,6 +449,24 @@ class NCPoly(Combination):
         coef = Fraction(coef)
         return cls._trusted(d, {normalize_word(word): coef} if coef else {})
 
+    def _int_form(self) -> tuple:
+        """(den, items): the common denominator of the coefficients, and
+        per word (word, integer numerator, head sign, tail sign).  The end
+        letters' signs (3 for the empty word, which cancels with nothing)
+        let a product call ``_join`` only where the junction cancels."""
+        try:
+            return self._form
+        except AttributeError:
+            pass
+        terms = self.terms
+        den = lcm(*(q.denominator for q in terms.values()))
+        items = []
+        for w, q in terms.items():
+            ends = (w[0]._sign, w[-1]._sign) if w else (3, 3)
+            items.append((w, q.numerator * (den // q.denominator), *ends))
+        self._form = form = (den, items)
+        return form
+
     # bound here, not inherited: perfbench's tracer patches the class __dict__
     __add__ = Combination.__add__
     __neg__ = Combination.__neg__
@@ -474,7 +475,7 @@ class NCPoly(Combination):
         if isinstance(other, NCPoly):
             self._check(other)
             out = WordSum()
-            out.add_product(self.terms, other.terms)
+            out.add_product(self, other)
             return NCPoly._trusted(self.d, out.terms())
         return self.scale(other)
 

@@ -4,8 +4,10 @@ Every emitter sorts its output, so equal values serialize to equal
 structures, and every parser rebuilds the exact value: rationals travel
 as integer pairs and floats as JSON numbers, which round-trip bit for
 bit through Python's json module.  A parser checks the shape it reads: a
-letter's ``deriv`` has one integer per dimension, and a scalar's ``num``,
-``den`` and ``pi`` are integers (bool refused) with ``den`` nonzero.
+letter's ``deriv`` has one integer per dimension, a symbol term's
+``alpha`` is a list of one integer per dimension and its ``m`` an
+integer, and a scalar's ``num``, ``den`` and ``pi`` are integers (bool
+refused everywhere) with ``den`` nonzero.
 Anything else raises ``ValueError``.
 """
 
@@ -42,6 +44,12 @@ def _integer(obj: dict, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return value
+
+
+def _integers(items, d: int, what: str) -> tuple[int, ...]:
+    if type(items) is not list or len(items) != d or any(type(i) is not int for i in items):
+        raise ValueError(f"{what} must be a list of {d} integers, not {items!r}")
+    return tuple(items)
 
 
 def letter_to_json(let: Letter) -> dict:
@@ -105,7 +113,7 @@ def trace_expression_from_json(obj: dict, d: int) -> TraceExpression:
     for term in obj["terms"]:
         if not term.get("trace"):
             raise ValueError("trace expression term lacks the trace marker")
-        tw = TraceWord.make(_word_from_json(term["word"], d))
+        tw = TraceWord(_word_from_json(term["word"], d))
         _accumulate(terms, tw, scalar_from_json(term["coef"]))
     return TraceExpression._trusted(d, terms)
 
@@ -123,7 +131,7 @@ def symbol_from_json(obj: dict, d: int) -> Symbol:
     terms: dict[XiMonomial, NCPoly] = {}
     for key, items in obj["components"].items():
         for it in items:
-            mono = XiMonomial(tuple(it["alpha"]), it["m"])
+            mono = XiMonomial(_integers(it["alpha"], d, "alpha"), _integer(it, "m"))
             if mono.degree != int(key):
                 raise ValueError(f"term of degree {mono.degree} filed under {key}")
             _accumulate(terms, mono, poly_from_json(it["coef"], d))
@@ -136,12 +144,6 @@ def _element_to_json(el: FourierElement) -> dict:
         c = el.coeffs[idx]
         coeffs.append({"index": list(idx), "re": c.real, "im": c.imag})
     return {"coeffs": coeffs}
-
-
-def _mode_index(items, d: int) -> tuple[int, ...]:
-    if type(items) is not list or len(items) != d or any(type(i) is not int for i in items):
-        raise ValueError(f"mode index must be a list of {d} integers, not {items!r}")
-    return tuple(items)
 
 
 def _coefficient_part(value, what: str = "coefficient parts") -> float:
@@ -160,7 +162,7 @@ def _element_from_json(obj: dict, theta: ThetaMatrix) -> FourierElement:
     coeffs = {}
     for it in obj["coeffs"]:
         re, im = _coefficient_part(it["re"]), _coefficient_part(it["im"])
-        coeffs[_mode_index(it["index"], theta.d)] = complex(re, im)
+        coeffs[_integers(it["index"], theta.d, "mode index")] = complex(re, im)
     return FourierElement(theta, coeffs)
 
 

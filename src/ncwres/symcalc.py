@@ -21,10 +21,11 @@ expansion: it walks gamma depth first and yields (1/gamma!, m1, c1, m2,
 c2) for every monomial pair of d_xi^gamma P and delta^gamma Q whose degree
 lies in a band lo..hi, pruning what can no longer reach lo.  ``compose``
 multiplies those pairs into one ``ncalg.WordSum`` per monomial, as
-``Symbol.pointwise_mul`` does with the plain pairs; the sums of one
-product share one memo of their operands' integer forms.  The residue
-pass in ``wres`` sums all the pairs, weighted by their sphere moments,
-into a single ``WordSum``.
+``Symbol.pointwise_mul`` does with the plain pairs; each coefficient
+``NCPoly`` carries its own integer form, so a coefficient met in many
+pairs, or in many products, is converted once.  The residue pass in
+``wres`` sums all the pairs, weighted by their sphere moments, into a
+single ``WordSum``.
 """
 
 from __future__ import annotations
@@ -182,12 +183,11 @@ def _sum_pairs(d: int, pairs) -> Symbol:
     word sums straight into one ``WordSum`` per monomial; a monomial whose
     words all cancel is dropped."""
     acc: dict[XiMonomial, WordSum] = {}
-    forms: dict = {}
     for c, m1, c1, m2, c2 in pairs:
         mono = m1 * m2
         if mono not in acc:
-            acc[mono] = WordSum(forms)
-        acc[mono].add_product(c1.terms, c2.terms, c)
+            acc[mono] = WordSum()
+        acc[mono].add_product(c1, c2, c)
     sums = {mono: words.terms() for mono, words in acc.items()}
     return Symbol._trusted(d, {m: NCPoly._trusted(d, t) for m, t in sums.items() if t})
 

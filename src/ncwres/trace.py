@@ -10,11 +10,12 @@ drive this module:
   trace words (integration by parts), which we put into row echelon form
   and use to rewrite expressions canonically.
 
-A ``TraceWord`` is that canonical representative, interned like a
-``Letter``: one object per canonical word, compared and hashed by
-identity, with its derivative order computed once.  Each relation system
-also memoizes raw word -> ``TraceWord`` while it lives, since the same
-lowered words recur across its relations.
+A ``TraceWord`` is that canonical representative, a tuple of letters
+that compares and hashes as a tuple, so equal cyclic classes give equal
+words.  It keeps no table: a word lives as long as the expressions and
+systems that hold it.  Each relation system memoizes raw word ->
+``TraceWord`` while it lives, since the same lowered words recur across
+its relations.
 
 Relations are generated by need rather than by blind enumeration: starting
 from the words of the expression, every word obtained by lowering one
@@ -69,61 +70,43 @@ def canonical_cycle(word: Iterable[Letter]) -> Word:
     return tuple(w[best:] + w[:best])
 
 
-class TraceWord:
+class TraceWord(tuple):
     """A trace word: the canonical representative of a cyclic class.
 
-    ``TraceWord(word)`` and ``TraceWord.make(word)`` take any word and
-    canonicalize it.  Trace words are interned like letters: each
-    canonical word is one object, so equality and hashing are identity,
-    and ``order`` is computed once, when the word is first made.  A raw
-    word that is already canonical finds its object without being
-    canonicalized again.  The intern table lives as long as the process.
+    ``TraceWord(word)`` takes any word and stores its canonical rotation
+    as the tuple itself, so words of one cyclic class are equal, and
+    hashing and equality are the tuple's own.  A trace word holds
+    nothing else: it is freed with the last expression or relation
+    system that uses it.
     """
 
-    __slots__ = ("word", "order")
-    _interned: dict = {}
+    __slots__ = ()
 
     def __new__(cls, word: Iterable[Letter]):
-        word = tuple(word)
-        tw = cls._interned.get(word)
-        if tw is not None:
-            return tw
-        word = canonical_cycle(word)
-        tw = cls._interned.get(word)
-        if tw is not None:
-            return tw
-        tw = object.__new__(cls)
-        object.__setattr__(tw, "word", word)
-        object.__setattr__(tw, "order", sum(let.order for let in word))
-        # setdefault is atomic, so racing threads still share one object
-        return cls._interned.setdefault(word, tw)
+        return tuple.__new__(cls, canonical_cycle(word))
 
-    # the same constructor, without the type call
-    make = classmethod(__new__)
+    @property
+    def word(self) -> Word:
+        return tuple(self)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an interned trace word")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an interned trace word")
-
-    def __reduce__(self):
-        # copies and unpickled trace words resolve to the interned object
-        return (TraceWord, (self.word,))
+    @property
+    def order(self) -> int:
+        return sum(let.order for let in self)
 
     def __repr__(self) -> str:
         return f"TraceWord(word={self.word!r})"
-
-    def __len__(self) -> int:
-        return len(self.word)
 
 
 def pivot_key(tw: TraceWord):
     """Elimination order: reduce total order first, then the highest
     single-letter order, then length, then an arbitrary stable key."""
-    word = tw.word
-    peak = max((let.order for let in word), default=0)
-    return (tw.order, peak, len(word), tuple(let.sort_key() for let in word))
+    order = peak = 0
+    for let in tw:
+        n = let.order
+        order += n
+        if n > peak:
+            peak = n
+    return (order, peak, len(tw), tuple(let._key for let in tw))
 
 
 class TraceExpression(Combination):
@@ -147,7 +130,7 @@ class TraceExpression(Combination):
     def from_poly(cls, p: NCPoly) -> "TraceExpression":
         out: dict[TraceWord, Fraction] = {}
         for word, q in p.terms.items():
-            _accumulate(out, TraceWord.make(word), q)
+            _accumulate(out, TraceWord(word), q)
         return cls._trusted(p.d, {tw: Scalar(q) for tw, q in out.items()})
 
     def __repr__(self) -> str:
@@ -161,7 +144,7 @@ def trace(p: NCPoly) -> TraceExpression:
 def commutative_image_expr(e: TraceExpression) -> TraceExpression:
     out: dict[TraceWord, Scalar] = {}
     for tw, sc in e.terms.items():
-        _accumulate(out, TraceWord.make(commutative_word(e.d, tw.word)), sc)
+        _accumulate(out, TraceWord(commutative_word(e.d, tw.word)), sc)
     return TraceExpression._trusted(e.d, out)
 
 
@@ -246,7 +229,7 @@ class ReductionSystem(Echelon):
 
     def _relation(self, gen: TraceWord, axis: int) -> dict[TraceWord, Fraction]:
         """Row for t(d_axis(gen)) = 0."""
-        dp = NCPoly.from_word(self.d, gen.word).derive(axis)
+        dp = NCPoly.from_word(self.d, gen).derive(axis)
         row: dict[TraceWord, Fraction] = {}
         for word, q in dp.terms.items():
             _accumulate(row, self._canon(word), q)
@@ -254,8 +237,7 @@ class ReductionSystem(Echelon):
 
     def _lowerings(self, tw: TraceWord):
         """Canonical words with one derivative exponent of ``tw`` lowered."""
-        word = tw.word
-        for i, let in enumerate(word):
+        for i, let in enumerate(tw):
             if let.order == 0:
                 continue
             for b in range(1, self.d + 1):
@@ -266,7 +248,7 @@ class ReductionSystem(Echelon):
                     let.deriv[: b - 1] + (let.deriv[b - 1] - 1,) + let.deriv[b:],
                     let.axis,
                 )
-                yield self._canon(word[:i] + (lowered,) + word[i + 1:])
+                yield self._canon(tw[:i] + (lowered,) + tw[i + 1:])
 
     def _explore(self, tw: TraceWord, queue: deque):
         for gen in self._lowerings(tw):

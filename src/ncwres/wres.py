@@ -17,7 +17,10 @@ product P # Q, without forming the product.  It visits the monomial pairs
 of ``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if
 the table gives its summed alpha a nonzero moment, a rational times
 pi^(d/2), and sums every pair into one ``ncalg.WordSum``, exact integer
-numerators over one denominator, whose words are traced once.
+numerators over one denominator, whose words are traced once.  The sum
+reads each coefficient through the integer form the ``NCPoly`` keeps on
+itself, so that form goes with the coefficient once the walk of
+``gamma_pairs`` leaves it behind.
 ``wodzicki_residue`` reads a symbol s as s # 1, ``wres_inverse_power``
 reads the product that reaches degree ``-d``, and ``trace_property_probe``
 reads P # Q and Q # P.  The table caches every moment and an override
@@ -105,7 +108,7 @@ def _product_residue(
     for inv, m1, c1, m2, c2 in gamma_pairs(p, q, band, band):
         m = moment(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
         if m:
-            words.add_product(c1.terms, c2.terms, inv * m.q)
+            words.add_product(c1, c2, inv * m.q)
     coef = NCPoly._trusted(d, words.terms())
     if right is not None:
         coef = coef * right

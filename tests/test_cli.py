@@ -366,6 +366,23 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path, argv, content):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("d", [-3, 0, 1, 12])
+def test_oracle_check_names_a_bad_seeded_dimension(capsys, d):
+    # the seeded assignment is drawn from --d, so --d is what is wrong
+    code, out, err = run(capsys, "oracle-check", "--d", str(d), "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ncwres: invalid --d {d}: ")
+    assert err.count("\n") == 1
+
+
+def test_oracle_check_blames_a_bad_assignment_file(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "oracle-check", "--d", "12", "--oracle-assignment", missing)
+    assert code == 2
+    assert err.startswith("ncwres: invalid oracle assignment: ")
+
+
 def test_start_up_imports_only_what_the_command_needs():
     src = str(Path(ncwres.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

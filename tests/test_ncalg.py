@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import pickle
 import random
@@ -494,8 +495,7 @@ def _kernel_products(seed: int) -> list:
     products = []
     for c in (1, -1, 3, Fraction(1, 6), 1, Fraction(1, 6)):
         products.append((_random_word_sum(rng), _random_word_sum(rng), c))
-    # a second copy of one product, negated through a different dict, so
-    # its words cancel completely; the memo keys the two dicts apart
+    # a second copy of one product, negated, so its words cancel completely
     t1, t2, c = products[1]
     products.append(({w: -q for w, q in t1.items()}, t2, c))
     # h . h^-1 meets 1 . 1 inside one product: 1 - 1 cancels there
@@ -518,32 +518,67 @@ def _raise(*args):
     raise AssertionError("Fraction arithmetic in the pair loop")
 
 
+def _polys(products) -> list:
+    return [(NCPoly(D, t1), NCPoly(D, t2), c) for t1, t2, c in products]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_word_sum_matches_a_fraction_loop(monkeypatch, seed):
     products = _kernel_products(seed)
     want = _reference_sum(products)
     acc = WordSum()
-    for t1, t2, c in products:
-        acc.add_product(t1, t2, c)
+    for p1, p2, c in _polys(products):
+        acc.add_product(p1, p2, c)
     got = acc.terms()
     assert got == want
     assert all(type(q) is Fraction and q for q in got.values())
     assert any(v == 0 for v in acc.num.values())  # cancelled words are dropped only at the end
-    # the same products again, with every Fraction sum and product refused
+    # the same products again, on fresh polynomials whose integer forms are
+    # built with every Fraction sum and product refused
     acc = WordSum()
+    polys = _polys(products)
     with monkeypatch.context() as patch:
         for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
             patch.setattr(Fraction, name, _raise)
-        for t1, t2, c in products:
-            acc.add_product(t1, t2, c)
+        for p1, p2, c in polys:
+            acc.add_product(p1, p2, c)
     assert acc.terms() == want
 
 
 def test_word_sum_of_nothing_is_empty():
     acc = WordSum()
-    acc.add_product({}, {(KERNEL_LETTERS[4],): Fraction(1, 3)})
+    acc.add_product(NCPoly(D, {}), NCPoly(D, {(KERNEL_LETTERS[4],): Fraction(1, 3)}))
     assert acc.terms() == {}
     assert NCPoly.zero(D) * ALG.x() == NCPoly.zero(D)
+
+
+def _reachable(root) -> set:
+    """ids of the objects reachable from ``root``, classes and interned
+    letters left out (their tables reach the whole process)."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, Letter)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_word_sum_keeps_no_operand_and_a_form_is_built_once():
+    p1, p2, c = _polys(_kernel_products(0))[0]
+    acc = WordSum()
+    acc.add_product(p1, p2, c)
+    form = p1._form
+    for _ in range(3):
+        acc.add_product(p1, p2, c)
+        acc.add_product(p2, p1, c)
+        assert (p1 * p2) * p1 == p1 * (p2 * p1)
+    # every product read the form built first, and the sum holds neither
+    # the operands nor their coefficient dicts
+    assert p1._form is form
+    held = _reachable(acc)
+    assert not held & {id(p1), id(p2), id(p1.terms), id(p2.terms), id(form)}
 
 
 def test_compose_drops_a_monomial_that_cancels():

@@ -194,6 +194,28 @@ def test_parsers_check_the_letter_shape(d, deriv):
         symbol_from_json(symbol, d)
 
 
+@pytest.mark.parametrize(
+    "key, alpha, m",
+    [
+        ("0", [0.0, 0], 0),
+        ("0", [0, 0], 0.0),
+        ("0", [0, 0], "0"),
+        ("0", 5, 0),
+        ("1", [True, 0], 0),
+        ("2", [0, 0], True),
+        ("0", [0], 0),
+    ],
+)
+def test_symbol_parser_checks_the_monomial_shape(key, alpha, m):
+    poly = {"terms": [{"coef": {"num": 1, "den": 1, "pi": 0}, "word": []}]}
+    symbol = {"components": {key: [{"coef": poly, "alpha": alpha, "m": m}]}}
+    with pytest.raises(ValueError):
+        symbol_from_json(symbol, 2)
+    # the same term with plain ints parses
+    symbol["components"] = {"0": [{"coef": poly, "alpha": [0, 0], "m": 0}]}
+    assert symbol_from_json(symbol, 2) == Symbol.one(2)
+
+
 def test_assignment_round_trip():
     theta = ThetaMatrix([[0.0, 0.3137], [-0.3137, 0.0]])
     h = FourierElement(theta, {(0, 0): 1.0, (1, 0): 0.05, (-1, 0): 0.05})

@@ -1,7 +1,11 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,18 +51,42 @@ def test_canonical_cycle_wraparound_cancellation():
 
 def test_trace_words_are_interned():
     w = (H, T1, DH, X)
-    tw = TraceWord.make(w)
+    tw = TraceWord(w)
     for i in range(len(w)):
-        assert TraceWord.make(w[i:] + w[:i]) is tw
-        assert TraceWord(list(w[i:] + w[:i])) is tw
+        assert TraceWord(w[i:] + w[:i]) == tw
+        assert hash(TraceWord(list(w[i:] + w[:i]))) == hash(tw)
     assert tw.word == canonical_cycle(w)
     assert tw.order == 1 and len(tw) == 4
-    assert TraceWord.make((H, HI)) is TraceWord(())
-    assert copy.copy(tw) is tw and copy.deepcopy(tw) is tw
-    assert pickle.loads(pickle.dumps(tw)) is tw
+    assert TraceWord((H, HI)) == TraceWord(())
+    for twin in (copy.copy(tw), copy.deepcopy(tw), pickle.loads(pickle.dumps(tw))):
+        assert type(twin) is TraceWord and twin == tw
     assert repr(TraceWord((X,))) == f"TraceWord(word=({X!r},))"
     with pytest.raises(AttributeError):
         tw.word = ()
+
+
+def test_reduced_results_leave_no_trace_word_behind():
+    # a fresh interpreter, so no word made by another test is counted
+    src = str(Path(trace_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import gc\n"
+        "from ncwres.parametrix import OperatorSpec\n"
+        "from ncwres.trace import TraceWord, ibp_reduce\n"
+        "from ncwres.wres import wres_inverse_power\n"
+        "raw = wres_inverse_power(OperatorSpec(d=4), 1)\n"
+        "reduced = ibp_reduce(raw)\n"
+        "held = len(raw.terms) + len(reduced.terms)\n"
+        "del raw, reduced\n"
+        "gc.collect()\n"
+        "print(held, sum(type(o) is TraceWord for o in gc.get_objects()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    held, alive = map(int, proc.stdout.split())
+    assert held and not alive
 
 
 def test_trace_is_cyclic_on_products():
