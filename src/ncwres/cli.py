@@ -126,6 +126,7 @@ def _classical_residue(d: int):
 
 
 def cmd_wres(args) -> int:
+    resolve_seed(args)
     spec = build_spec(args)
     raw = wres_inverse_power(spec, power=args.power)
     commutative = args.mode == "commutative"
@@ -149,6 +150,7 @@ def cmd_wres(args) -> int:
 
 
 def cmd_parametrix(args) -> int:
+    resolve_seed(args)
     spec = build_spec(args)
     order = spec.d - 2 if args.order is None else args.order
     if order < 0:

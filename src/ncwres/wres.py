@@ -12,20 +12,24 @@ which vanishes when any exponent is odd and is an exact rational multiple
 of pi^(d/2) when all are even (half-integer Gamma values pair up with the
 even dimension).  No 2pi normalization is applied.
 
-One function, ``_product_residue``, reads every residue, that of a
+One function, ``_residue_coefficient``, reads every residue, that of a
 product P # Q, without forming the product.  It visits the monomial pairs
 of ``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if
 the table gives its summed alpha a nonzero moment, a rational times
 pi^(d/2), and sums every pair into one ``ncalg.WordSum``, exact integer
-numerators over one denominator, whose words are traced once.  The sum
-reads each coefficient through the integer form the ``NCPoly`` keeps on
-itself, so that form goes with the coefficient once the walk of
-``gamma_pairs`` leaves it behind.
-``wodzicki_residue`` reads a symbol s as s # 1, ``wres_inverse_power``
-reads the product that reaches degree ``-d``, and ``trace_property_probe``
-reads P # Q and Q # P.  The table caches every moment and an override
-writes into that cache, so an injected fault reaches the result exactly
-as it would through the full product.
+numerators over one denominator.  The sum reads each coefficient through
+the integer form the ``NCPoly`` keeps on itself, so that form goes with
+the coefficient once the walk of ``gamma_pairs`` leaves it behind.  The
+result is a rational polynomial whose trace times pi^(d/2) is the
+residue; ``_product_residue`` traces it.
+``wodzicki_residue`` reads a symbol s as s # 1 and
+``trace_property_probe`` reads P # Q and Q # P.  ``wres_inverse_power``
+never forms the deepest parametrix term b_(d-2p), for any power p: it
+reads the band chain of b_0 + ... + b_(d-2p-1) and one pass against the
+operator symbol with b_0^p on the right, adds the two coefficients and
+traces them once.  The table caches every moment and an override writes
+into that cache, so an injected fault reaches the result exactly as it
+would through the full product.
 """
 
 from __future__ import annotations
@@ -85,17 +89,18 @@ class SphereIntegralTable:
         return m
 
 
-def _product_residue(
+def _residue_coefficient(
     p: Symbol, q: Symbol, table: SphereIntegralTable | None = None, tail: Symbol | None = None
-) -> TraceExpression:
-    """Residue of (P # Q) . tail without forming P # Q.
+) -> NCPoly:
+    """Rational coefficient of the residue of (P # Q) . tail: its trace
+    times pi^(d/2) is the residue, and P # Q is never formed.
 
     ``tail`` is one monomial, or None for the identity.  Every moment is
     a rational times pi^(d/2), so each pair with a nonzero moment in the
     table (overrides included) goes into one ``WordSum``, weighted by
     1/gamma! times that rational.  The pair loop multiplies integers
-    only; the sum's ``Fraction``s, times the tail's coefficient, are
-    traced once.
+    only; the sum's ``Fraction``s are formed once and multiplied by the
+    tail's coefficient.
     """
     d = p.d
     table = SphereIntegralTable(d) if table is None else table
@@ -110,9 +115,20 @@ def _product_residue(
         if m:
             words.add_product(c1, c2, inv * m.q)
     coef = NCPoly._trusted(d, words.terms())
-    if right is not None:
-        coef = coef * right
-    return trace(coef).scale(Scalar(1, d // 2))
+    return coef if right is None else coef * right
+
+
+def _traced(coef: NCPoly) -> TraceExpression:
+    """The residue whose rational coefficient is ``coef``."""
+    return trace(coef).scale(Scalar(1, coef.d // 2))
+
+
+def _product_residue(
+    p: Symbol, q: Symbol, table: SphereIntegralTable | None = None, tail: Symbol | None = None
+) -> TraceExpression:
+    """Residue of (P # Q) . tail without forming P # Q; its words are
+    traced once."""
+    return _traced(_residue_coefficient(p, q, table, tail))
 
 
 def wodzicki_residue(
@@ -123,47 +139,75 @@ def wodzicki_residue(
     return _product_residue(s, Symbol.one(s.d), table)
 
 
+def _power_coefficient(
+    x: Symbol, power: int, table: SphereIntegralTable | None
+) -> NCPoly:
+    """Residue coefficient of X # ... # X (``power`` factors).
+
+    Every factor has top degree -2, so with r factors still to come only
+    degrees >= -d + 2r can reach -d; each product keeps that band, and
+    the last one, the product that reaches -d, is read by the pair loop.
+    """
+    d = x.d
+    if power == 1:
+        return _residue_coefficient(x, Symbol.one(d), table)
+    s = x
+    for rest in range(power - 2, 0, -1):
+        s = compose(s, x, -d + 2 * rest)
+    return _residue_coefficient(s, x, table)
+
+
 def wres_inverse_power(
     spec: OperatorSpec,
     power: int = 1,
     n: int | None = None,
     table: SphereIntegralTable | None = None,
 ) -> TraceExpression:
-    """Residue of the inverse (power 1) or of higher inverse powers.
+    """Residue of the inverse power Delta^-power, traced once.
 
-    The parametrix is expanded to order n (default d - 2*power, the
-    deepest term any factor passes to degree -d) and composed with itself
-    power-1 times.  Every factor has top degree -2, so with r factors
-    still to come only degrees >= -d + 2r can reach -d; each product
-    keeps that band.
+    The parametrix B = b_0 + ... + b_D with D = d - 2*power holds every
+    term that any factor of B # ... # B passes to degree -d.  The deepest
+    term b_D is never formed.  It reaches degree -d only beside p - 1
+    copies of b_0 (alpha = 0, a power of h times |xi|^-2) and only at
+    gamma = 0, and the last parametrix step gives
 
-    The product that reaches degree -d is never formed: its monomial
-    pairs of degree -d run straight into the one residue word sum,
-    skipping every pair with a zero moment.  For power >= 2 that product
-    is the last composition.  For power 1 it is the last parametrix step,
+        b_D = -band_(-D)( B' # a ) . b_0,    B' = b_0 + ... + b_(D-1).
 
-        b_(d-2) = -band_(2-d)( (b_0 + ... + b_(d-3)) # a ) . b_0,
+    The trace is cyclic, so all ``power`` places of b_D give one residue:
 
-    so the series is expanded only to b_(d-3), and b_0 (alpha = 0) just
-    multiplies the word sum on the right.  No composition defect is
-    formed.
+        Wres = res(B'^#power) + power . res( (B' # a) . (-b_0^power) ).
+
+    The first term is the band chain of ``_power_coefficient``; at power
+    1 it is skipped, since B' stops above degree -d.  The second is one
+    pass of the pair loop with b_0^power, taken pointwise, as its tail.
+    The two rational coefficients are added and traced once.  No
+    composition defect is formed.
+
+    D <= 0 (the volume at power d/2, and any higher power) reads the
+    product of b_0 alone, and an explicit ``n`` below D that of
+    b_0 + ... + b_n, with no tail.  Any ``n`` >= D gives the default
+    result and builds no deeper term.
     """
-    if power < 1:
-        raise ValueError("power must be at least 1")
+    if type(power) is not int or power < 1:
+        raise ValueError(f"power must be an int of at least 1, not {power!r}")
+    if n is not None and (type(n) is not int or n < 0):
+        raise ValueError(f"n must be None or a nonnegative int, not {n!r}")
     d = spec.d
-    depth = max(d - 2 * power, 0) if n is None else n
+    deep = d - 2 * power
     a = laplace_symbol(spec)
-    if power == 1 and d > 2 and depth >= d - 2:
-        terms = parametrix_series(a, d - 3)
-        return _product_residue(sum(terms, Symbol.zero(d)), a, table, tail=-terms[0])
-    total = sum(parametrix_series(a, depth), Symbol.zero(d))
-    if power == 1:
-        # b_0 itself at d = 2; no degree -d term at all below depth d - 2
-        return wodzicki_residue(total, table)
-    s = total
-    for rest in range(power - 2, 0, -1):
-        s = compose(s, total, -d + 2 * rest)
-    return _product_residue(s, total, table)
+    shallow = n is not None and n < deep
+    if deep <= 0 or shallow:
+        total = sum(parametrix_series(a, n if shallow else 0), Symbol.zero(d))
+        return _traced(_power_coefficient(total, power, table))
+    terms = parametrix_series(a, deep - 1)
+    head = sum(terms, Symbol.zero(d))
+    b0_power = terms[0]
+    for _ in range(power - 1):
+        b0_power = b0_power.pointwise_mul(terms[0])
+    coef = _residue_coefficient(head, a, table, tail=b0_power.scale(-power))
+    if power > 1:
+        coef = _power_coefficient(head, power, table) + coef
+    return _traced(coef)
 
 
 def trace_property_probe(

@@ -218,6 +218,65 @@ def test_usage_errors_exit_two(capsys):
         assert captured.err == "ncwres: --seed must be a nonnegative integer, not '-1'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["wres", "--d", "4"], ["parametrix", "--d", "4"], ["verify", "--d", "2"], ["oracle-check"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("seed, env", [("-5", None), (None, "abc"), (None, "-3")])
+def test_every_subcommand_checks_its_seed(capsys, monkeypatch, argv, seed, env):
+    # the same contract whether or not the subcommand draws from the seed
+    monkeypatch.delenv("NCWRES_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("NCWRES_SEED", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--seed", seed] if seed is not None else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name, raw = ("--seed", seed) if seed is not None else ("NCWRES_SEED", env)
+    assert captured.err == f"ncwres: {name} must be a nonnegative integer, not {raw!r}\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    """Every ``$ ncwres ...`` example of the README shown in full, as
+    (command, expected stdout).
+
+    An example whose output elides lines with ``...``, or prints an
+    oracle deviation (which varies at rounding level between hosts, see
+    ``test_text_report_is_pinned``), is not shown in full.
+    """
+    examples = []
+    blocks = re.findall(r"^```\n(.*?)^```$", README.read_text(), re.M | re.S)
+    for block in blocks:
+        for chunk in re.split(r"^(?=\$ ncwres )", block, flags=re.M):
+            if not chunk.startswith("$ ncwres "):
+                continue
+            command, _, output = chunk.partition("\n")
+            output = output.rstrip("\n") + "\n"
+            if "..." not in output and not FLOAT.search(output):
+                examples.append((command[2:], output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_examples_in_full():
+    assert len(README_EXAMPLES) >= 3
+
+
+@pytest.mark.parametrize("command, want", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example_prints_what_it_shows(capsys, monkeypatch, command, want):
+    monkeypatch.delenv("NCWRES_SEED", raising=False)
+    code, out, _ = run(capsys, *command.split()[1:])
+    assert code == 0
+    assert out == want
+
+
 def test_spec_file_configures_operator(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"d": 4, "include_t": False, "include_x": False}))

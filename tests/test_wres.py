@@ -207,13 +207,14 @@ def test_probe_forms_no_product(monkeypatch, d):
     assert [trace_property_probe(p, q) for p, q in pairs] == want
 
 
-@pytest.mark.parametrize("d, power", [(4, 2), (6, 3)])
+@pytest.mark.parametrize("d, power", [(4, 1), (4, 2), (6, 2), (6, 3), (8, 3)])
 def test_default_depth_reaches_degree_minus_d(d, power):
     # each factor of the inverse power only needs terms down to degree
-    # -2-(d-2*power); one more term must not change the residue
+    # -2-(d-2*power); that depth, or one more term, gives the default
     spec = OperatorSpec(d=d, include_t=True)
     got = wres_inverse_power(spec, power=power)
     assert not got.is_zero()
+    assert got == wres_inverse_power(spec, power=power, n=d - 2 * power)
     assert got == wres_inverse_power(spec, power=power, n=d - 2 * power + 1)
 
 
@@ -276,16 +277,19 @@ def test_volume_residue(d, torsion):
 
 
 def unfused_residue(spec, power, table=None):
-    """Wres(Delta^-power) with every product formed in full and read by
-    ``wodzicki_residue``: the route the fused pass must reproduce."""
+    """Wres(Delta^-power) with b_(d-2p) and every product formed and read
+    by ``wodzicki_residue``: the route the fused pass must reproduce.
+
+    A product with r factors still to come keeps the degrees >= -d + 2r,
+    the only ones that can reach -d (``test_tight_power_band_keeps_the_residue``
+    checks this against products kept down to -d); the full chain at
+    (8,3) does not fit in a few GB."""
     d = spec.d
     a = laplace_symbol(spec)
-    if power == 1:
-        return wodzicki_residue(sum(parametrix_series(a, d - 2), Symbol.zero(d)), table)
-    total = sum(parametrix_series(a, d - 2 * power), Symbol.zero(d))
+    total = sum(parametrix_series(a, max(d - 2 * power, 0)), Symbol.zero(d))
     s = total
-    for _ in range(power - 1):
-        s = compose(s, total, -d)
+    for rest in range(power - 2, -1, -1):
+        s = compose(s, total, -d + 2 * rest)
     return wodzicki_residue(s, table)
 
 
@@ -327,10 +331,18 @@ def test_fused_residue_reads_the_callers_table(make_table, d, power):
 
 
 @pytest.mark.parametrize(
-    "spec", [SPEC_T, OperatorSpec(d=6, include_t=True, flat=True)], ids=["d4", "d6-flat"]
+    "spec, power",
+    [
+        (SPEC_T, 1),
+        (OperatorSpec(d=6, include_t=True, flat=True), 1),
+        (OperatorSpec(d=6, include_t=False), 2),
+        (OperatorSpec(d=6, include_t=True), 2),
+        (OperatorSpec(d=8, include_t=True), 3),
+    ],
+    ids=["d4", "d6-flat", "d6-p2", "d6-p2-torsion", "d8-p3"],
 )
-def test_power_one_never_forms_the_last_parametrix_term(monkeypatch, spec):
-    d = spec.d
+def test_no_power_forms_the_deepest_parametrix_term(monkeypatch, spec, power):
+    want = unfused_residue(spec, power)
     depths = []
 
     def recording(a, n, side="left"):
@@ -338,13 +350,70 @@ def test_power_one_never_forms_the_last_parametrix_term(monkeypatch, spec):
         return parametrix_series(a, n, side)
 
     monkeypatch.setattr(wres, "parametrix_series", recording)
-    got = wres_inverse_power(spec, power=1)
-    assert depths == [d - 3]
-    # b_(d-2) itself was never built, yet the residue is the unfused one
-    assert got == unfused_residue(spec, 1)
+    got = wres_inverse_power(spec, power=power)
+    assert depths == [spec.d - 2 * power - 1]
+    # b_(d-2p) itself was never built, yet the residue is the unfused one
+    assert got == want
 
 
-@pytest.mark.parametrize("d, power, torsion", [(4, 1, True), (4, 2, True), (6, 2, False)])
+@pytest.mark.parametrize("n", [None, 0, 2])
+def test_volume_reads_b0_alone(monkeypatch, n):
+    # at D = 0 every depth n >= D is the default: b_1, b_2 are not built
+    spec = OperatorSpec(d=6, include_t=True)
+    depths = []
+
+    def recording(a, depth, side="left"):
+        depths.append(depth)
+        return parametrix_series(a, depth, side)
+
+    monkeypatch.setattr(wres, "parametrix_series", recording)
+    got = wres_inverse_power(spec, 3, n=n)
+    assert depths == [0]
+    assert got == trace(Algebra(6).h_power(6)).scale(sphere_integral((0,) * 6))
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+@pytest.mark.parametrize("n", [0, 1])
+def test_explicit_shallow_depth_reads_the_truncated_product(n, torsion):
+    # n below D = 2 at (6,2): the residue of the square of b_0 + ... + b_n
+    spec = OperatorSpec(d=6, include_t=torsion)
+    total = sum(parametrix_series(laplace_symbol(spec), n), Symbol.zero(6))
+    want = wodzicki_residue(compose(total, total, -6))
+    assert not want.is_zero()
+    assert wres_inverse_power(spec, 2, n=n) == want
+    assert want != wres_inverse_power(spec, 2)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"power": 0},
+        {"power": -1},
+        {"power": True},
+        {"power": "2"},
+        {"power": 2.0},
+        {"power": None},
+        {"n": -1},
+        {"n": True},
+        {"n": False},
+        {"n": 1.5},
+        {"n": "2"},
+    ],
+    ids=repr,
+)
+def test_power_and_depth_must_be_plain_ints(kwargs):
+    with pytest.raises(ValueError):
+        wres_inverse_power(SPEC_T, **kwargs)
+
+
+def test_depth_zero_is_accepted():
+    # b_0 alone stops above degree -4, so the inverse has no residue there
+    assert wres_inverse_power(SPEC_T, 1, n=0).is_zero()
+
+
+@pytest.mark.parametrize(
+    "d, power, torsion", [(4, 1, True), (4, 2, True), (6, 2, False), (6, 2, True)]
+)
 def test_residue_is_traced_once(monkeypatch, d, power, torsion):
     # every pair of every alpha goes into one word sum, traced once
     traced = []
