@@ -16,11 +16,12 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from .ncalg import Algebra
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_terms
 from .trace import format_trace_expression, ibp_reduce, trace, trace_equal
-from .wres import wres_inverse_power
+from .wres import sphere_integral, wres_inverse_power
 
 # start-up is a large share of a short command, so modules that only
 # some branches use are imported inside them: the numeric modules
@@ -33,7 +34,7 @@ def resolve_seed(args) -> int:
     """``--seed``, else NCWRES_SEED, else 0; anything but a nonnegative
     integer exits 2."""
     name = "NCWRES_SEED" if args.seed is None else "--seed"
-    raw = os.environ.get(name, "0") if args.seed is None else str(args.seed)
+    raw = os.environ.get(name, "0") if args.seed is None else args.seed
     try:
         seed = int(raw)
     except ValueError:
@@ -76,7 +77,8 @@ def _add_operator_flags(sub: argparse.ArgumentParser):
 
 def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=None, help="override NCWRES_SEED")
+    # a string, so that resolve_seed checks it as it checks NCWRES_SEED
+    sub.add_argument("--seed", default=None, help="override NCWRES_SEED")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -112,17 +114,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _classical_residue(d: int):
-    # commutative no-torsion closed form at d = 4, a second-derivative
-    # rewrite of the scalar-curvature density for the rescaled metric
-    from .ncalg import Scalar
+    # the Kalau-Walze form of the commutative Einstein-Hilbert residue
+    # Wres(Delta^-(d-2)/2) for the metric h^2 delta:
+    # -(d-2)^2 (d-1)/12 Vol(S^(d-1)) sum_a t[h^(d-4) (d_a h)^2]
     from .trace import TraceExpression
 
     alg = Algebra(d)
     out = TraceExpression.zero(d)
     for a in range(1, d + 1):
         dh = alg.h().derive(a)
-        out = out + trace(dh * dh)
-    return out.scale(Scalar(-2, 2))
+        out = out + trace(alg.h_power(d - 4) * dh * dh)
+    return out.scale(sphere_integral((0,) * d) * Fraction(-((d - 2) ** 2) * (d - 1), 12))
 
 
 def cmd_wres(args) -> int:
@@ -133,7 +135,9 @@ def cmd_wres(args) -> int:
     reduced = ibp_reduce(raw, commutative=commutative)
     rendering = format_trace_expression(reduced)
     verdict = None
-    if commutative and spec.d == 4 and args.power == 1 and not spec.include_t:
+    # only the plain conformal Laplacian at the Einstein-Hilbert power
+    plain = not (spec.include_t or spec.include_x or spec.flat)
+    if commutative and plain and 2 * args.power == spec.d - 2:
         verdict = trace_equal(reduced, _classical_residue(spec.d), commutative=True)
     if args.format == "json":
         from .serialize import trace_expression_to_json

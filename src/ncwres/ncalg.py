@@ -112,15 +112,6 @@ class Scalar(Frozen):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi", pi)
 
-    # written out rather than read through _fields: these run in hot loops
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.q == other.q and self.pi == other.pi
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.pi))
-
     def __bool__(self) -> bool:
         return self.q != 0
 

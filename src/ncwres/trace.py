@@ -21,11 +21,18 @@ Relations are generated by need rather than by blind enumeration: starting
 from the words of the expression, every word obtained by lowering one
 derivative exponent is used as a generator g, contributing the relations
 t(d_b(g)) = 0 for every direction b.  New words met inside those relations
-are explored in turn while they stay within the order and length caps.
+are explored in turn while they stay within the length cap.  No order cap
+is needed: d_b raises the order of a lowering of w back to that of w, so
+every explored word has the derivative order of some seed.
 Each relation pivots on its largest word under ``pivot_key``, and a word
 reduces to the one combination, equal modulo the relations, that holds
 no pivot.  That form depends only on the span of the relations, not on
 the order in which they were found.
+
+The reduction works on rational vectors: an expression enters as its one
+pi power and the rationals of its words, and an expression whose terms
+carry more than one pi power is refused.  Every residue is a rational
+trace expression times pi^(d/2), the power the sphere moments bring in.
 """
 
 from __future__ import annotations
@@ -89,10 +96,6 @@ class TraceWord(tuple):
     def word(self) -> Word:
         return tuple(self)
 
-    @property
-    def order(self) -> int:
-        return sum(let.order for let in self)
-
     def __repr__(self) -> str:
         return f"TraceWord(word={self.word!r})"
 
@@ -113,7 +116,8 @@ class TraceExpression(Combination):
     """Finite scalar combination of canonical trace words.
 
     Each word carries a single exact scalar; summing terms whose pi powers
-    differ on the same word is rejected rather than approximated.
+    differ on the same word is rejected rather than approximated, and the
+    reductions below take only expressions with one pi power.
     """
 
     __slots__ = ()
@@ -209,7 +213,6 @@ class ReductionSystem(Echelon):
         self.d = d
         self.commutative = commutative
         seed_list = list(dict.fromkeys(seeds))
-        self.cap_ord = max((tw.order for tw in seed_list), default=0)
         self.cap_len = max((len(tw) for tw in seed_list), default=0) + 1
         self._seen_words = set(seed_list)
         self._seen_gens: set[TraceWord] = set()
@@ -258,70 +261,60 @@ class ReductionSystem(Echelon):
             for axis in range(1, self.d + 1):
                 row = self._relation(gen, axis)
                 for u in row:
-                    if (
-                        u not in self._seen_words
-                        and u.order <= self.cap_ord
-                        and len(u) <= self.cap_len
-                    ):
+                    if u not in self._seen_words and len(u) <= self.cap_len:
                         self._seen_words.add(u)
                         queue.append(u)
                 self.insert(row)
 
 
-Sectors = dict[int, dict[TraceWord, Fraction]]
+Vector = dict[TraceWord, Fraction]
 
 
-def _sectors(e: TraceExpression, commutative: bool) -> Sectors:
-    """``e`` as {pi power: rational vector}, taken to the commutative
-    quotient first when asked."""
+def _vector(e: TraceExpression, commutative: bool) -> tuple[int, Vector]:
+    """``e`` as its one pi power and a rational vector, taken to the
+    commutative quotient first when asked.  The zero expression has pi
+    power 0."""
+    pis = {sc.pi for sc in e.terms.values()}
+    if len(pis) > 1:
+        raise ValueError(f"expression mixes pi powers {sorted(pis)}")
     if commutative:
         e = commutative_image_expr(e)
-    sectors: Sectors = {}
-    for tw, sc in e.terms.items():
-        sectors.setdefault(sc.pi, {})[tw] = sc.q
-    return sectors
+    return (pis.pop() if pis else 0), {tw: sc.q for tw, sc in e.terms.items()}
 
 
-def _reduced(d: int, forms: Sequence[Sectors], commutative: bool) -> list[Sectors]:
-    """Canonical form of each sector map, with empty sectors dropped.
+def _reduced(d: int, vectors: Sequence[Vector], commutative: bool) -> list[Vector]:
+    """Canonical form of each vector.
 
-    One relation system, seeded with the words of every form, reduces
+    One relation system, seeded with the words of every vector, reduces
     them all.  Reduction is linear and returns the one representative
-    that holds no pivot, so two forms agree modulo the relations exactly
+    that holds no pivot, so two vectors agree modulo the relations exactly
     when their reduced forms are equal.
     """
-    seeds = (tw for form in forms for vec in form.values() for tw in vec)
-    system = ReductionSystem(d, seeds, commutative)
-    out = []
-    for form in forms:
-        reduced = {pi: system.reduce_vector(vec) for pi, vec in form.items()}
-        out.append({pi: vec for pi, vec in reduced.items() if vec})
-    return out
+    system = ReductionSystem(d, (tw for vec in vectors for tw in vec), commutative)
+    return [system.reduce_vector(vec) for vec in vectors]
 
 
 def ibp_reduce(e: TraceExpression, commutative: bool = False) -> TraceExpression:
     """Canonical form of ``e`` modulo cyclicity and integration by parts."""
-    (form,) = _reduced(e.d, [_sectors(e, commutative)], commutative)
-    out: dict[TraceWord, Scalar] = {}
-    for pi, vec in sorted(form.items()):
-        for tw, q in vec.items():
-            if tw in out:
-                raise ValueError("reduction mixed distinct pi powers on one word")
-            out[tw] = Scalar(q, pi)
-    return TraceExpression(e.d, out)
+    pi, vec = _vector(e, commutative)
+    (form,) = _reduced(e.d, [vec], commutative)
+    return TraceExpression._trusted(e.d, {tw: Scalar(q, pi) for tw, q in form.items()})
 
 
 def trace_equal(a: TraceExpression, b: TraceExpression, commutative: bool = False) -> bool:
-    """Whether a and b agree modulo cyclicity and integration by parts;
-    only a - b is reduced, so words that cancel seed no relations."""
+    """Whether a and b agree modulo cyclicity and integration by parts.
+
+    With one pi power on both sides only a - b is reduced, so words that
+    cancel seed no relations; with two, both sides must reduce to zero.
+    """
     if a.d != b.d:
         return False
-    diff = _sectors(a, commutative)
-    for pi, vec in _sectors(b, commutative).items():
-        sector = diff.setdefault(pi, {})
-        for tw, q in vec.items():
-            _accumulate(sector, tw, -q)
-    (form,) = _reduced(a.d, [diff], commutative)
+    (pi_a, vec_a), (pi_b, vec_b) = _vector(a, commutative), _vector(b, commutative)
+    if pi_a != pi_b:
+        return not any(_reduced(a.d, [vec_a, vec_b], commutative))
+    for tw, q in vec_b.items():
+        _accumulate(vec_a, tw, -q)
+    (form,) = _reduced(a.d, [vec_a], commutative)
     return not form
 
 
@@ -334,28 +327,24 @@ def express_in_span(
     modulo integration by parts, or None if no combination exists.
 
     Raises if a combination exists but is not unique (the shapes are
-    dependent over the reduced basis), or if a reduced expression mixes
-    pi powers.
+    dependent over the reduced basis), or if an expression mixes pi
+    powers.
     """
-    forms = _reduced(target.d, [_sectors(e, commutative) for e in (target, *shapes)], commutative)
-    if any(len(form) > 1 for form in forms):
-        raise ValueError("expression mixes pi powers; cannot span-solve")
-    (pi_t, target_vec), *shape_sectors = [
-        next(iter(form.items()), (0, {})) for form in forms
-    ]
+    pis, vectors = zip(*(_vector(e, commutative) for e in (target, *shapes)))
+    target_vec, *shape_vecs = _reduced(target.d, vectors, commutative)
     # shape i enters as v_i - e_i with an integer tag i that sorts below
     # every word, so a row pivots on a tag only when the shapes are
     # dependent; the target then reduces to sum x_i e_i when it is in span
     span = Echelon(lambda u: (0, u) if isinstance(u, int) else (1, pivot_key(u)))
-    for i, (_, vec) in enumerate(shape_sectors):
+    for i, vec in enumerate(shape_vecs):
         span.insert({**vec, i: Fraction(-1)})
     rest = span.reduce_vector(target_vec)
     if any(isinstance(u, TraceWord) for u in rest):
         return None  # inconsistent: target leaves the span
     if any(isinstance(u, int) for u in span.rows):
         raise ValueError("shapes are linearly dependent modulo the relations")
-    sol = [rest.get(i, Fraction(0)) for i in range(len(shape_sectors))]
-    return [Scalar(x, pi_t - pi_s if x else 0) for x, (pi_s, _) in zip(sol, shape_sectors)]
+    pi_t, *pi_shapes = pis
+    return [Scalar(rest.get(i, Fraction(0)), pi_t - pi_s) for i, pi_s in enumerate(pi_shapes)]
 
 
 # ---------------------------------------------------------------------------

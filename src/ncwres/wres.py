@@ -124,11 +124,10 @@ def _traced(coef: NCPoly) -> TraceExpression:
 
 
 def _product_residue(
-    p: Symbol, q: Symbol, table: SphereIntegralTable | None = None, tail: Symbol | None = None
+    p: Symbol, q: Symbol, table: SphereIntegralTable | None = None
 ) -> TraceExpression:
-    """Residue of (P # Q) . tail without forming P # Q; its words are
-    traced once."""
-    return _traced(_residue_coefficient(p, q, table, tail))
+    """Residue of P # Q without forming it; its words are traced once."""
+    return _traced(_residue_coefficient(p, q, table))
 
 
 def wodzicki_residue(

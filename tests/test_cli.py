@@ -44,6 +44,36 @@ def test_wres_commutative_matches_classical(capsys):
     assert lines[1] == "classical scalar-curvature form: match"
 
 
+def test_wres_d6_matches_the_kalau_walze_form(capsys):
+    code, out, _ = run(
+        capsys, "wres", "--d", "6", "--power", "2", "--mode", "commutative", "--no-torsion"
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("-20/3*pi^3 * ( ") and "t[h^2.d1(h)^2]" in lines[0]
+    assert lines[1] == "classical scalar-curvature form: match"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--no-torsion", "--include-x"),
+        ("--flat",),
+        ("--power", "2", "--no-torsion"),
+    ],
+    ids=["potential", "flat", "volume-power"],
+)
+def test_classical_verdict_only_for_the_plain_operator(capsys, flags):
+    # the classical form is the plain conformal Laplacian's at p = d/2 - 1
+    argv = ("wres", "--mode", "commutative") + flags
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "classical" not in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert "classical_match" not in json.loads(out)
+
+
 def test_wres_json_round_trips(capsys):
     code, out, _ = run(capsys, "wres", "--d", "4", "--power", "2", "--format", "json")
     assert code == 0
@@ -223,7 +253,9 @@ def test_usage_errors_exit_two(capsys):
     [["wres", "--d", "4"], ["parametrix", "--d", "4"], ["verify", "--d", "2"], ["oracle-check"]],
     ids=lambda argv: argv[0],
 )
-@pytest.mark.parametrize("seed, env", [("-5", None), (None, "abc"), (None, "-3")])
+@pytest.mark.parametrize(
+    "seed, env", [("-5", None), ("abc", None), (None, "abc"), (None, "-3")]
+)
 def test_every_subcommand_checks_its_seed(capsys, monkeypatch, argv, seed, env):
     # the same contract whether or not the subcommand draws from the seed
     monkeypatch.delenv("NCWRES_SEED", raising=False)

@@ -56,7 +56,7 @@ def test_trace_words_are_interned():
         assert TraceWord(w[i:] + w[:i]) == tw
         assert hash(TraceWord(list(w[i:] + w[:i]))) == hash(tw)
     assert tw.word == canonical_cycle(w)
-    assert tw.order == 1 and len(tw) == 4
+    assert len(tw) == 4
     assert TraceWord((H, HI)) == TraceWord(())
     for twin in (copy.copy(tw), copy.deepcopy(tw), pickle.loads(pickle.dumps(tw))):
         assert type(twin) is TraceWord and twin == tw
@@ -176,7 +176,7 @@ def _record_seeds(monkeypatch) -> list:
 def test_trace_equal_seeds_only_the_difference(monkeypatch):
     seeded = _record_seeds(monkeypatch)
     e = trace(NCPoly.from_word(D, (DH, T1, X, H))) + trace(ALG.h() * ALG.h()).scale(
-        Scalar(Fraction(1, 2), pi=2)
+        Fraction(1, 2)
     )
     assert trace_equal(e, e) and trace_equal(e, e, commutative=True)
     assert seeded == []
@@ -251,6 +251,48 @@ def test_express_in_span_contract(target, shapes, want):
             express_in_span(target, shapes)
     else:
         assert express_in_span(target, shapes) == want
+
+
+MIXED = S.scale(PI) + U
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        lambda e, c: ibp_reduce(e, c),
+        lambda e, c: trace_equal(e, U, c),
+        lambda e, c: trace_equal(U, e, c),
+        lambda e, c: express_in_span(e, [S, U], c),
+        lambda e, c: express_in_span(S, [e], c),
+    ],
+    ids=["ibp_reduce", "trace_equal-left", "trace_equal-right", "span-target", "span-shape"],
+)
+def test_reductions_refuse_mixed_pi_powers(reduce, commutative):
+    # a reduction works on one rational vector, which has one pi power
+    with pytest.raises(ValueError, match="mixes pi powers"):
+        reduce(MIXED, commutative)
+
+
+def _order(tw: TraceWord) -> int:
+    return sum(let.order for let in tw)
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_explored_words_keep_a_seed_order(seed, commutative):
+    # d_b raises a lowering of w back to the order of w, so exploration
+    # never leaves the seeds' orders: no order cap is needed
+    from ncwres.randgen import random_poly
+
+    d = 2 + seed % 2
+    e = trace(random_poly(d, seed, terms=4, max_len=3, max_order=2))
+    if commutative:
+        e = commutative_image_expr(e)
+    system = ReductionSystem(d, e.terms, commutative)
+    seed_orders = {_order(tw) for tw in e.terms}
+    assert len(system._seen_words) > len(e.terms)
+    assert {_order(u) for u in system._seen_words} <= seed_orders
 
 
 # -- hypothesis ------------------------------------------------------------
