@@ -4,9 +4,9 @@ Subcommands: ``wres`` prints the residue of an inverse power, both as a
 canonical rendering and as JSON; ``parametrix`` emits the correction
 terms and the composition defect; ``verify`` runs the self-check battery
 and exits 3 when a check fails; ``oracle-check`` replays symbolic
-identities on a concrete representation.  Exit codes: 0 success, 2 bad
-usage, 3 failed checks.  Timing always goes to stderr, never into the
-JSON, so output bytes depend only on the arguments and the seed.
+identities on a concrete representation.  Exit codes: 0 success, 1 closed
+stdout, 2 bad usage, 3 failed checks.  Timing always goes to stderr, never
+into the JSON, so output bytes depend only on the arguments and the seed.
 """
 
 from __future__ import annotations
@@ -31,17 +31,13 @@ from .wres import sphere_integral, wres_inverse_power
 
 
 def resolve_seed(args) -> int:
-    """``--seed``, else NCWRES_SEED, else 0; anything but a nonnegative
-    integer exits 2."""
+    """``--seed``, else NCWRES_SEED, else 0; anything but ASCII digits
+    exits 2 (``int`` alone would take "1_0", " 7 " and non-ASCII digits)."""
     name = "NCWRES_SEED" if args.seed is None else "--seed"
     raw = os.environ.get(name, "0") if args.seed is None else args.seed
-    try:
-        seed = int(raw)
-    except ValueError:
-        seed = -1
-    if seed < 0:
+    if not (raw.isascii() and raw.isdigit()):
         raise SystemExit(_bad_input(f"{name} must be a nonnegative integer, not {raw!r}"))
-    return seed
+    return int(raw)
 
 
 def _bad_input(message: str) -> int:
@@ -252,7 +248,14 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "oracle-check": cmd_oracle_check,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # piped output is buffered: a closed reader shows here
+    except BrokenPipeError:
+        # devnull takes the interpreter's own flush at exit, which would raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

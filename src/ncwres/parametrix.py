@@ -117,10 +117,9 @@ def _apply_gamma(s: Symbol, gamma: tuple[int, ...], xi_side: bool) -> Symbol:
 
 
 class ParametrixResult(Record):
-    __slots__ = ("side", "terms", "defect")
+    __slots__ = ("terms", "defect")
 
-    def __init__(self, side: str, terms: list[Symbol], defect: Symbol):
-        self.side = side
+    def __init__(self, terms: list[Symbol], defect: Symbol):
         self.terms = terms
         self.defect = defect
 
@@ -169,7 +168,7 @@ def parametrix_terms(a: Symbol, n: int, side: str = "left") -> ParametrixResult:
         product = symbol_product(total, a, -n)
     else:
         product = symbol_product(a, total, -n)
-    return ParametrixResult(side, terms, product - Symbol.one(a.d))
+    return ParametrixResult(terms, product - Symbol.one(a.d))
 
 
 def closed_form_b1(spec: OperatorSpec) -> Symbol:

@@ -17,13 +17,14 @@ systems that hold it.  Each relation system memoizes raw word ->
 ``TraceWord`` while it lives, since the same lowered words recur across
 its relations.
 
-Relations are generated by need rather than by blind enumeration: starting
-from the words of the expression, every word obtained by lowering one
-derivative exponent is used as a generator g, contributing the relations
-t(d_b(g)) = 0 for every direction b.  New words met inside those relations
-are explored in turn while they stay within the length cap.  No order cap
-is needed: d_b raises the order of a lowering of w back to that of w, so
-every explored word has the derivative order of some seed.
+Relations are generated by need: each explored word with one exponent
+along axis b lowered is a generator g of the one relation t(d_b(g)) = 0.
+The expression's words are explored first, then new words met inside
+relations while they stay within the length cap.  Relations are
+homogeneous in a word's block (per-axis derivative multidegree, T axes,
+net h power, X count), and one that holds a word u is built from u, its
+g being u lowered along its b: exploration keeps to the seeds' blocks and,
+the cap aside, drops only relations that never meet a seed.
 Each relation pivots on its largest word under ``pivot_key``, and a word
 reduces to the one combination, equal modulo the relations, that holds
 no pivot.  That form depends only on the span of the relations, not on
@@ -130,19 +131,15 @@ class TraceExpression(Combination):
                 if sc:
                     self.terms[tw] = sc
 
-    @classmethod
-    def from_poly(cls, p: NCPoly) -> "TraceExpression":
-        out: dict[TraceWord, Fraction] = {}
-        for word, q in p.terms.items():
-            _accumulate(out, TraceWord(word), q)
-        return cls._trusted(p.d, {tw: Scalar(q) for tw, q in out.items()})
-
     def __repr__(self) -> str:
         return f"TraceExpression({self.d}, {format_trace_expression(self)!r})"
 
 
 def trace(p: NCPoly) -> TraceExpression:
-    return TraceExpression.from_poly(p)
+    out: dict[TraceWord, Fraction] = {}
+    for word, q in p.terms.items():
+        _accumulate(out, TraceWord(word), q)
+    return TraceExpression._trusted(p.d, {tw: Scalar(q) for tw, q in out.items()})
 
 
 def commutative_image_expr(e: TraceExpression) -> TraceExpression:
@@ -206,7 +203,8 @@ class Echelon:
 
 class ReductionSystem(Echelon):
     """Row echelon form of the integration-by-parts relations reachable
-    from a set of seed words."""
+    from a set of seed words: a lowering is derived back along its own
+    axis only, which keeps every row in a seed's block."""
 
     def __init__(self, d: int, seeds: Iterable[TraceWord], commutative: bool = False):
         super().__init__(pivot_key)
@@ -215,7 +213,7 @@ class ReductionSystem(Echelon):
         seed_list = list(dict.fromkeys(seeds))
         self.cap_len = max((len(tw) for tw in seed_list), default=0) + 1
         self._seen_words = set(seed_list)
-        self._seen_gens: set[TraceWord] = set()
+        self._seen_gens: set[tuple[TraceWord, int]] = set()
         self._memo: dict[Word, TraceWord] = {}
         queue = deque(seed_list)
         while queue:
@@ -239,7 +237,7 @@ class ReductionSystem(Echelon):
         return row
 
     def _lowerings(self, tw: TraceWord):
-        """Canonical words with one derivative exponent of ``tw`` lowered."""
+        """Pairs (gen, b): ``tw`` with one axis-b exponent lowered, canonical."""
         for i, let in enumerate(tw):
             if let.order == 0:
                 continue
@@ -251,20 +249,19 @@ class ReductionSystem(Echelon):
                     let.deriv[: b - 1] + (let.deriv[b - 1] - 1,) + let.deriv[b:],
                     let.axis,
                 )
-                yield self._canon(tw[:i] + (lowered,) + tw[i + 1:])
+                yield self._canon(tw[:i] + (lowered,) + tw[i + 1:]), b
 
     def _explore(self, tw: TraceWord, queue: deque):
-        for gen in self._lowerings(tw):
-            if gen in self._seen_gens:
+        for pair in self._lowerings(tw):
+            if pair in self._seen_gens:
                 continue
-            self._seen_gens.add(gen)
-            for axis in range(1, self.d + 1):
-                row = self._relation(gen, axis)
-                for u in row:
-                    if u not in self._seen_words and len(u) <= self.cap_len:
-                        self._seen_words.add(u)
-                        queue.append(u)
-                self.insert(row)
+            self._seen_gens.add(pair)
+            row = self._relation(*pair)
+            for u in row:
+                if u not in self._seen_words and len(u) <= self.cap_len:
+                    self._seen_words.add(u)
+                    queue.append(u)
+            self.insert(row)
 
 
 Vector = dict[TraceWord, Fraction]

@@ -254,7 +254,19 @@ def test_usage_errors_exit_two(capsys):
     ids=lambda argv: argv[0],
 )
 @pytest.mark.parametrize(
-    "seed, env", [("-5", None), ("abc", None), (None, "abc"), (None, "-3")]
+    "seed, env",
+    [
+        ("-5", None),
+        ("abc", None),
+        (None, "abc"),
+        (None, "-3"),
+        # forms int() would take: ASCII digits only are a seed
+        ("1_0", None),
+        ("+4", None),
+        ("\u0663", None),
+        (None, " 7 "),
+        (None, "1_0"),
+    ],
 )
 def test_every_subcommand_checks_its_seed(capsys, monkeypatch, argv, seed, env):
     # the same contract whether or not the subcommand draws from the seed
@@ -268,6 +280,35 @@ def test_every_subcommand_checks_its_seed(capsys, monkeypatch, argv, seed, env):
     assert captured.out == ""
     name, raw = ("--seed", seed) if seed is not None else ("NCWRES_SEED", env)
     assert captured.err == f"ncwres: {name} must be a nonnegative integer, not {raw!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--d", "2", "--format", "json"], ["wres", "--d", "4"]],
+    ids=["verify-json", "wres"],
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # the reading end is closed before the child starts, so its output
+    # fails whenever it is written: inside print for the large verify
+    # report, at the final flush for the short wres line
+    src = str(Path(ncwres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncwres.cli", *argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

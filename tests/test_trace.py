@@ -278,11 +278,22 @@ def _order(tw: TraceWord) -> int:
     return sum(let.order for let in tw)
 
 
+def _block(d: int, tw: TraceWord) -> tuple:
+    """What every relation t(d_b(g)) = 0 keeps equal across its words: the
+    per-axis multidegree, the T axes, the net h power and the X count."""
+    multidegree = tuple(sum(let.deriv[k] for let in tw) for k in range(d))
+    t_axes = tuple(sorted(let.axis for let in tw if let.kind == "T"))
+    kinds = [let.kind for let in tw]
+    return multidegree, t_axes, kinds.count("H") - kinds.count("Hinv"), kinds.count("X")
+
+
 @pytest.mark.parametrize("commutative", [False, True])
 @pytest.mark.parametrize("seed", range(8))
 def test_explored_words_keep_a_seed_order(seed, commutative):
     # d_b raises a lowering of w back to the order of w, so exploration
-    # never leaves the seeds' orders: no order cap is needed
+    # never leaves the seeds' orders: no order cap is needed; and since a
+    # lowering is derived back only along the axis it lowered, it never
+    # leaves the seeds' blocks either
     from ncwres.randgen import random_poly
 
     d = 2 + seed % 2
@@ -293,6 +304,58 @@ def test_explored_words_keep_a_seed_order(seed, commutative):
     seed_orders = {_order(tw) for tw in e.terms}
     assert len(system._seen_words) > len(e.terms)
     assert {_order(u) for u in system._seen_words} <= seed_orders
+    seed_blocks = {_block(d, tw) for tw in e.terms}
+    assert {_block(d, u) for u in system._seen_words} <= seed_blocks
+
+
+class AllAxesSystem(ReductionSystem):
+    """Reference rule: every lowering of an explored word is derived
+    along every axis, not only along the one it was lowered on.  It
+    builds a superset of the relations, most in blocks no seed holds."""
+
+    def _explore(self, tw, queue):
+        for gen, _ in self._lowerings(tw):
+            if gen in self._seen_gens:
+                continue
+            self._seen_gens.add(gen)
+            for axis in range(1, self.d + 1):
+                row = self._relation(gen, axis)
+                for u in row:
+                    if u not in self._seen_words and len(u) <= self.cap_len:
+                        self._seen_words.add(u)
+                        queue.append(u)
+                self.insert(row)
+
+
+def _assert_same_reduction_as_all_axes(e: TraceExpression, commutative: bool):
+    if commutative:
+        e = commutative_image_expr(e)
+    vec = {tw: sc.q for tw, sc in e.terms.items()}
+    want = AllAxesSystem(e.d, vec, commutative).reduce_vector(vec)
+    assert ReductionSystem(e.d, vec, commutative).reduce_vector(vec) == want
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize("d, n_seeds", [(2, 32), (3, 16), (4, 10)])
+def test_lowered_axis_rule_reduces_like_all_axes(d, n_seeds, commutative):
+    # the length cap is what keeps this a test rather than a theorem: a
+    # word over it could join two components of the reference's relations
+    from ncwres.randgen import random_poly
+
+    for seed in range(n_seeds):
+        e = trace(random_poly(d, seed, terms=4, max_len=3, max_order=2))
+        _assert_same_reduction_as_all_axes(e, commutative)
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize("include_t", [False, True])
+@pytest.mark.parametrize("d, power", [(4, 1), (6, 2)])
+def test_residues_reduce_like_all_axes(d, power, include_t, commutative):
+    from ncwres.parametrix import OperatorSpec
+    from ncwres.wres import wres_inverse_power
+
+    raw = wres_inverse_power(OperatorSpec(d=d, include_t=include_t), power)
+    _assert_same_reduction_as_all_axes(raw, commutative)
 
 
 # -- hypothesis ------------------------------------------------------------
