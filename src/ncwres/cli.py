@@ -234,7 +234,11 @@ def cmd_oracle_check(args) -> int:
         return _bad_input(f"invalid oracle assignment: missing key {exc}")
     except (ValueError, TypeError, OSError, OverflowError) as exc:
         return _bad_input(f"invalid {source}: {exc}")
-    checks = oracle_battery(asg)
+    try:
+        checks = oracle_battery(asg)
+    except OverflowError as exc:
+        # atoms whose product spans more than the oracle's linear index
+        return _bad_input(f"invalid {source}: {exc}")
     passed = all(c["passed"] for c in checks)
     report = {"seed": seed, "d": asg.d, "checks": checks, "passed": passed}
     return _print_report(report, args.format)

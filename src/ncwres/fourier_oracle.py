@@ -8,16 +8,19 @@ where the ordered monomials multiply by the twisted convolution rule
     U^alpha U^beta = exp(2 pi i sum_{j>k} theta_jk alpha_j beta_k)
                      U^(alpha+beta).
 
-The product is one numpy kernel over all mode pairs: the phases of a
-block of pairs are exp(2 pi i (A L) B^T) with L the strict lower
-triangle of theta, and alpha + beta is found by adding the two sides'
-indices linearized in one shared mixed radix, so that equal output
-modes are summed by a unique/bincount pass.  Pairs are processed in
-blocks of at most BLOCK_PAIRS and the blocks merged by one more such
-pass, so the working arrays stay small whatever the operand sizes;
-materializing every pair at once holds several arrays of
-len(a) * len(b) entries, which raises the peak memory of an oracle run
-by several megabytes.
+An element stores only ``idx``, an n x d int64 array of distinct mode
+indices, and ``val``, their n nonzero complex coefficients.  Products
+and linear combinations merge equal modes through one routine,
+``_merge``: the modes are linearized in a mixed radix over their
+bounding box and equal keys summed by one unique/bincount pass.
+
+The product takes the phases of a block of mode pairs as
+exp(2 pi i (A L) B^T), with L the strict lower triangle of theta, and
+finds alpha + beta by adding the two sides' linear indices.  A block
+holds at most BLOCK_PAIRS pairs; when there are several, each is summed
+by key before the merge, so the working arrays stay small.
+Materializing all len(a) * len(b) pairs at once raises the peak memory
+of an oracle run by several megabytes.
 
 The trace reads off the zero mode, derivations scale mode alpha by
 alpha_a, and the adjoint is
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,23 +61,16 @@ class ThetaMatrix:
             raise ValueError("theta must be antisymmetric modulo 1")
         self.mat = m
         self.d = m.shape[0]
-        # strictly lower triangle: only j > k pairs enter phases.  The
-        # product kernel takes it as a matrix; the scalar phase, called
-        # once per mode by the adjoint, reads it as plain tuples
+        # strictly lower triangle: only j > k pairs enter phases
         self.lower = np.tril(m, -1)
-        self._lower = tuple(tuple(m[j, :j]) for j in range(self.d))
 
     @classmethod
     def zero(cls, d: int) -> "ThetaMatrix":
         return cls(np.zeros((d, d)))
 
     def phase(self, alpha, beta) -> complex:
-        s = 0.0
-        for j in range(1, self.d):
-            aj = alpha[j]
-            if aj:
-                row = self._lower[j]
-                s += aj * sum(row[k] * beta[k] for k in range(j) if beta[k])
+        """Phase of U^alpha U^beta, term by term: the product kernel's reference."""
+        s = sum(self.lower[j, k] * alpha[j] * beta[k] for j in range(self.d) for k in range(j))
         return cmath.exp(2j * cmath.pi * s)
 
 
@@ -83,51 +80,65 @@ Index = tuple[int, ...]
 BLOCK_PAIRS = 4096
 
 
-def _as_arrays(coeffs: dict[Index, complex]) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.array(list(coeffs), dtype=np.int64)
-    val = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
-    return idx, val
+def _strides(width: list[int]) -> np.ndarray:
+    """Row-major strides: linear order is the lexicographic order of modes."""
+    strides = [1] * len(width)
+    for k in range(len(width) - 2, -1, -1):
+        strides[k] = strides[k + 1] * width[k + 1]
+    if strides[0] * width[0] >= 2**62:
+        raise OverflowError("modes exceed the int64 linear index")
+    return np.array(strides, dtype=np.int64)
 
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys in ascending order, with the sum of their values."""
     uniq, inv = np.unique(keys, return_inverse=True)
-    inv = inv.ravel()
     re = np.bincount(inv, weights=vals.real, minlength=len(uniq))
     im = np.bincount(inv, weights=vals.imag, minlength=len(uniq))
     return uniq, re + 1j * im
 
 
-def _accumulate(out: dict[Index, complex], coeffs: dict[Index, complex], c: complex = 1.0):
-    """out += c * coeffs in place, dropping entries that cancel to zero."""
-    get = out.get
-    for idx, v in coeffs.items():
-        total = get(idx, 0.0) + v * c
-        if total:
-            out[idx] = total
-        else:
-            out.pop(idx, None)
+def _merge(theta: ThetaMatrix, keys, vals, lo: list[int], width: list[int]) -> "FourierElement":
+    """The element sum_i vals[i] U^(lo + mode of keys[i]), keys linear in
+    the box of these widths: equal keys summed, zero sums dropped."""
+    k, v = _sum_by_key(keys, vals)
+    keep = v != 0
+    idx = np.stack(np.unravel_index(k[keep], width), axis=-1) + lo
+    return FourierElement._trusted(theta, idx, v[keep])
+
+
+def _combine(theta: ThetaMatrix, terms) -> "FourierElement":
+    """sum_i c_i el_i over the pairs (el_i, c_i), through the one merge."""
+    terms = [(el, c) for el, c in terms if len(el.val)]
+    if not terms:
+        return FourierElement(theta)
+    idx = np.concatenate([el.idx for el, _ in terms])
+    lo, hi = idx.min(axis=0).tolist(), idx.max(axis=0).tolist()
+    width = [h - l + 1 for l, h in zip(lo, hi)]
+    keys = (idx - lo) @ _strides(width)
+    return _merge(theta, keys, np.concatenate([el.val * c for el, c in terms]), lo, width)
 
 
 class FourierElement:
-    """Finite twisted Fourier series over a fixed theta."""
+    """Finite twisted Fourier series over a fixed theta: distinct modes
+    ``idx`` (n x d, int64) with nonzero coefficients ``val``."""
 
-    __slots__ = ("theta", "coeffs")
+    __slots__ = ("theta", "idx", "val")
 
     def __init__(self, theta: ThetaMatrix, coeffs: dict[Index, complex] | None = None):
+        modes = [(i, c) for i, c in (coeffs or {}).items() if c != 0]
         self.theta = theta
-        self.coeffs: dict[Index, complex] = {}
-        if coeffs:
-            for idx, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[tuple(idx)] = complex(c)
+        # a mode index outside int64 raises OverflowError here
+        self.idx = np.array([i for i, _ in modes], dtype=np.int64).reshape(len(modes), theta.d)
+        self.val = np.array([c for _, c in modes], dtype=complex)
 
     @classmethod
-    def _trusted(cls, theta: ThetaMatrix, coeffs: dict[Index, complex]) -> "FourierElement":
-        """Wrap a dict of tuple indices and nonzero complex values as is."""
+    def _trusted(cls, theta: ThetaMatrix, idx: np.ndarray, val: np.ndarray) -> "FourierElement":
+        """Wrap distinct int64 modes and their nonzero complex values as is."""
         el = cls.__new__(cls)
         el.theta = theta
-        el.coeffs = coeffs
+        el.idx = idx
+        el.val = val
         return el
 
     @classmethod
@@ -138,35 +149,35 @@ class FourierElement:
     def monomial(cls, theta: ThetaMatrix, index: Index, c: complex = 1.0) -> "FourierElement":
         return cls(theta, {tuple(index): c})
 
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {mode index tuple: coefficient} view, built per call."""
+        return MappingProxyType(dict(zip(map(tuple, self.idx.tolist()), self.val.tolist())))
+
+    def _masked(self, idx: np.ndarray, val: np.ndarray) -> "FourierElement":
+        keep = val != 0
+        return FourierElement._trusted(self.theta, idx[keep], val[keep])
+
     def __add__(self, other: "FourierElement") -> "FourierElement":
-        out = dict(self.coeffs)
-        _accumulate(out, other.coeffs)
-        return FourierElement._trusted(self.theta, out)
+        return _combine(self.theta, [(self, 1.0), (other, 1.0)])
 
     def __sub__(self, other: "FourierElement") -> "FourierElement":
-        return self + other.scale(-1.0)
+        return _combine(self.theta, [(self, 1.0), (other, -1.0)])
 
     def scale(self, c: complex) -> "FourierElement":
-        return FourierElement._trusted(
-            self.theta, {i: w for i, v in self.coeffs.items() if (w := v * c)}
-        )
+        return self._masked(self.idx, self.val * c)
 
     def __mul__(self, other: "FourierElement") -> "FourierElement":
-        if not self.coeffs or not other.coeffs:
-            return FourierElement._trusted(self.theta, {})
-        a_idx, a_val = _as_arrays(self.coeffs)
-        b_idx, b_val = _as_arrays(other.coeffs)
+        if not len(self.val) or not len(other.val):
+            return FourierElement(self.theta)
+        a_idx, a_val, b_idx, b_val = self.idx, self.val, other.idx, other.val
         # shared mixed radix: shifting each side by its own minimum puts
-        # alpha + beta at la + lb, and row-major strides make linear order
-        # the lexicographic order of the index tuples
-        a_lo, b_lo = a_idx.min(axis=0), b_idx.min(axis=0)
-        width = a_idx.max(axis=0) - a_lo + b_idx.max(axis=0) - b_lo + 1
-        strides = [1] * len(width)
-        for k in range(len(width) - 2, -1, -1):
-            strides[k] = strides[k + 1] * int(width[k + 1])
-        if strides[0] * int(width[0]) >= 2**62:
-            raise OverflowError("product modes exceed the int64 linear index")
-        strides = np.array(strides, dtype=np.int64)
+        # alpha + beta at la + lb in the box of the sum
+        a_lo, a_hi = a_idx.min(axis=0).tolist(), a_idx.max(axis=0).tolist()
+        b_lo, b_hi = b_idx.min(axis=0).tolist(), b_idx.max(axis=0).tolist()
+        width = [ah - al + bh - bl + 1 for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi)]
+        lo = [al + bl for al, bl in zip(a_lo, b_lo)]
+        strides = _strides(width)
         la = (a_idx - a_lo) @ strides
         lb = (b_idx - b_lo) @ strides
         a_lower = a_idx @ self.theta.lower
@@ -178,44 +189,29 @@ class FourierElement:
             s = a_lower[r0:r1] @ b_idx.T
             if s.any():
                 block *= np.exp(2j * np.pi * s)
-            k, v = _sum_by_key((la[r0:r1, None] + lb[None, :]).ravel(), block.ravel())
+            k, v = (la[r0:r1, None] + lb[None, :]).ravel(), block.ravel()
+            if rows < len(la):
+                k, v = _sum_by_key(k, v)
             keys.append(k)
             vals.append(v)
-        if len(keys) == 1:
-            k, v = keys[0], vals[0]
-        else:
-            k, v = _sum_by_key(np.concatenate(keys), np.concatenate(vals))
-        keep = v != 0
-        k, v = k[keep], v[keep]
-        idx = (k[:, None] // strides) % width + (a_lo + b_lo)
-        return FourierElement._trusted(
-            self.theta, dict(zip(map(tuple, idx.tolist()), v.tolist()))
-        )
+        return _merge(self.theta, np.concatenate(keys), np.concatenate(vals), lo, width)
 
     def adjoint(self) -> "FourierElement":
-        out: dict[Index, complex] = {}
-        phase = self.theta.phase
-        for a, c in self.coeffs.items():
-            neg = tuple(-x for x in a)
-            out[neg] = out.get(neg, 0.0) + c.conjugate() * phase(a, a)
-        return FourierElement(self.theta, out)
+        s = ((self.idx @ self.theta.lower) * self.idx).sum(axis=1)
+        return self._masked(-self.idx, self.val.conj() * np.exp(2j * np.pi * s))
 
     def derive(self, axis: int) -> "FourierElement":
-        return FourierElement._trusted(
-            self.theta,
-            {a: c * a[axis - 1] for a, c in self.coeffs.items() if a[axis - 1]},
-        )
+        return self._masked(self.idx, self.val * self.idx[:, axis - 1])
 
     def trace(self) -> complex:
-        return self.coeffs.get((0,) * self.theta.d, 0.0)
+        # at most one row is the zero mode
+        return complex(self.val[~self.idx.any(axis=1)].sum())
 
     def norm1(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
+        return float(np.abs(self.val).sum())
 
     def prune(self, eps: float) -> "FourierElement":
-        return FourierElement._trusted(
-            self.theta, {a: c for a, c in self.coeffs.items() if abs(c) > eps}
-        )
+        return self._masked(self.idx, np.where(np.abs(self.val) > eps, self.val, 0))
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
         return (self - self.adjoint()).norm1() <= tol
@@ -237,8 +233,7 @@ def nc_invert_neumann(x: FourierElement, tol: float = 1e-12) -> NeumannResult:
     sum (-u)^k / lam converges when ||u||_1 < 1; enough terms are taken
     for the 1-norm tail r^(K+1) / ((1 - r) |lam|) to drop below tol.
     """
-    d = x.theta.d
-    lam = x.coeffs.get((0,) * d, 0.0)
+    lam = x.trace()
     if lam == 0:
         raise ValueError("zero mode vanishes; Neumann series does not apply")
     u = x.scale(1.0 / lam) - FourierElement.one(x.theta)
@@ -316,10 +311,8 @@ class Assignment:
         return out
 
     def evaluate_poly(self, p: NCPoly) -> FourierElement:
-        out: dict[Index, complex] = {}
-        for word, sc in p.terms.items():
-            _accumulate(out, self.evaluate_word(word).coeffs, float(sc))
-        return FourierElement._trusted(self.theta, out)
+        terms = [(self.evaluate_word(word), float(sc)) for word, sc in p.terms.items()]
+        return _combine(self.theta, terms)
 
     def evaluate_trace_expression(self, e: TraceExpression) -> complex:
         total = 0.0 + 0.0j
@@ -328,10 +321,8 @@ class Assignment:
         return total
 
     def evaluate_symbol(self, s: Symbol, xi) -> FourierElement:
-        out: dict[Index, complex] = {}
-        for mono, coef in s.terms.items():
-            _accumulate(out, self.evaluate_poly(coef).coeffs, mono.eval(xi))
-        return FourierElement._trusted(self.theta, out)
+        terms = [(self.evaluate_poly(coef), mono.eval(xi)) for mono, coef in s.terms.items()]
+        return _combine(self.theta, terms)
 
 
 def gamma_sum_evaluation(
@@ -351,7 +342,7 @@ def gamma_sum_evaluation(
     from .symcalc import multi_indices
 
     d = p.d
-    total: dict = {}
+    pieces = []
     gamma_max = p.max_degree() + q.max_degree() - min_degree
     for order in range(gamma_max + 1):
         for gamma in multi_indices(d, order):
@@ -374,6 +365,5 @@ def gamma_sum_evaluation(
                         left[mono1] = asg.evaluate_poly(coef1)
                     if mono2 not in right:
                         right[mono2] = asg.evaluate_poly(coef2)
-                    piece = (left[mono1] * right[mono2]).scale(scal)
-                    _accumulate(total, piece.coeffs)
-    return FourierElement._trusted(asg.theta, total)
+                    pieces.append((left[mono1] * right[mono2], scal))
+    return _combine(asg.theta, pieces)

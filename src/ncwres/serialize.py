@@ -162,7 +162,10 @@ def _element_from_json(obj: dict, theta: ThetaMatrix) -> FourierElement:
     coeffs = {}
     for it in obj["coeffs"]:
         re, im = _coefficient_part(it["re"]), _coefficient_part(it["im"])
-        coeffs[_integers(it["index"], theta.d, "mode index")] = complex(re, im)
+        index = _integers(it["index"], theta.d, "mode index")
+        if index in coeffs:
+            raise ValueError(f"mode index {list(index)} appears twice")
+        coeffs[index] = complex(re, im)
     return FourierElement(theta, coeffs)
 
 

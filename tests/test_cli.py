@@ -391,6 +391,17 @@ def _set_t1_part(obj, part, value):
     obj["atoms"]["T1"]["coeffs"][0][part] = value
 
 
+def _wide_t1(obj):
+    # each mode fits int64, but h * T1 spans more than the linear index
+    for sign in (1, -1):
+        index = [sign * 2**30, sign * 2**30]
+        obj["atoms"]["T1"]["coeffs"].append({"index": index, "re": 0.001, "im": 0.0})
+
+
+def _repeat_t1_index(obj):
+    obj["atoms"]["T1"]["coeffs"].append(dict(obj["atoms"]["T1"]["coeffs"][0], re=0.5))
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -449,6 +460,21 @@ def _set_t1_part(obj, part, value):
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],
             _edited_assignment(lambda obj: _set_t1_index(obj, [1.5, 0])),
             id="assignment-index-not-int",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: _set_t1_index(obj, [2**70, 0])),
+            id="assignment-index-outside-int64",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(_wide_t1),
+            id="assignment-modes-beyond-linear-index",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(_repeat_t1_index),
+            id="assignment-repeated-index",
         ),
         pytest.param(
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],

@@ -14,7 +14,7 @@ from ncwres.fourier_oracle import (
     ThetaMatrix,
     nc_invert_neumann,
 )
-from ncwres.ncalg import Algebra, Letter
+from ncwres.ncalg import Algebra, Letter, NCPoly
 from ncwres.randgen import THETA_MODES, random_theta
 from ncwres.symcalc import Symbol
 from ncwres.trace import ibp_reduce, trace
@@ -135,6 +135,41 @@ def test_product_matches_pairwise_sum(d, mode):
         assert ((a * b) - want).norm1() <= 1e-12 * want.norm1()
     assert (empty * small).coeffs == {} and (small * empty).coeffs == {}
     assert (small - small).coeffs == {}
+
+
+def assert_well_formed(el: FourierElement, d: int):
+    """Distinct int64 mode rows, one nonzero complex value each."""
+    assert el.idx.dtype == np.int64 and el.idx.shape == (len(el.val), d)
+    assert el.val.dtype == complex and el.val.shape == (len(el.val),)
+    assert len(np.unique(el.idx, axis=0)) == len(el.idx)
+    assert np.all(el.val != 0)
+
+
+def coefficient_pairs(d: int):
+    # values that cancel exactly in sums and, at theta = 0, in products
+    coeffs = st.dictionaries(
+        st.tuples(*[st.integers(min_value=-3, max_value=3)] * d),
+        st.sampled_from([1.0, -1.0, 0.5j, -0.5j, 1e-14]),
+        max_size=6,
+    )
+    return st.tuples(st.just(d), coeffs, coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(coefficient_pairs), st.sampled_from(THETA_MODES))
+def test_every_result_holds_distinct_modes_and_nonzero_values(case, mode):
+    d, ca, cb = case
+    theta = random_theta(d, np.random.default_rng(d), mode)
+    a, b = FourierElement(theta, ca), FourierElement(theta, cb)
+    results = [a + b, a - b, a - a, a * b, b * a, a.scale(0), a.scale(2j)]
+    results += [a.adjoint(), a.prune(1e-12)] + [a.derive(axis) for axis in range(1, d + 1)]
+    for el in results + [a, b]:
+        assert_well_formed(el, d)
+    assert len((a - a).val) == len(a.scale(0).val) == 0
+    asg = Assignment(theta, {})
+    for empty in (asg.evaluate_poly(NCPoly(d)), asg.evaluate_symbol(Symbol(d), (0.5,) * d)):
+        assert_well_formed(empty, d)
+        assert len(empty.val) == 0
 
 
 def test_adjoint_is_involutive_and_antimultiplicative():
