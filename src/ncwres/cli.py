@@ -32,12 +32,16 @@ from .wres import sphere_integral, wres_inverse_power
 
 def resolve_seed(args) -> int:
     """``--seed``, else NCWRES_SEED, else 0; anything but ASCII digits
-    exits 2 (``int`` alone would take "1_0", " 7 " and non-ASCII digits)."""
+    exits 2 (``int`` alone would take "1_0", " 7 " and non-ASCII digits),
+    and so do more digits than Python's limit on integer strings."""
     name = "NCWRES_SEED" if args.seed is None else "--seed"
     raw = os.environ.get(name, "0") if args.seed is None else args.seed
-    if not (raw.isascii() and raw.isdigit()):
-        raise SystemExit(_bad_input(f"{name} must be a nonnegative integer, not {raw!r}"))
-    return int(raw)
+    if raw.isascii() and raw.isdigit():
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise SystemExit(_bad_input(f"{name} must be a nonnegative integer, not {raw!r}"))
 
 
 def _bad_input(message: str) -> int:

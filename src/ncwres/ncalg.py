@@ -165,16 +165,17 @@ class Letter:
     _interned: dict = {}
 
     def __new__(cls, kind: str, deriv: tuple[int, ...], axis: int | None = None):
+        # True and 1.0 would hash onto the letter of 1, 0.5 has no order and
+        # a list has no hash, so deriv is checked before the table is read
+        if type(deriv) is not tuple or any(type(n) is not int for n in deriv):
+            raise ValueError(f"deriv must be a tuple of ints, not {deriv!r}")
         key = (kind, deriv, axis)
         let = cls._interned.get(key)
-        # True and 1.0 hash like 1, so only a plain int axis may hit the table
+        # likewise only a plain int axis may hit the table
         if let is not None and (axis is None or type(axis) is int):
             return let
         if kind not in KIND_RANK:
             raise ValueError(f"unknown letter kind {kind!r}")
-        # True and 1.0 would hash onto the letter of 1, and 0.5 has no order
-        if type(deriv) is not tuple or any(type(n) is not int for n in deriv):
-            raise ValueError(f"deriv must be a tuple of ints, not {deriv!r}")
         if (kind == "T") != (axis is not None):
             raise ValueError("axis is required for T letters and only for them")
         if axis is not None and (type(axis) is not int or not 1 <= axis <= len(deriv)):

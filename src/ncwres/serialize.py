@@ -139,11 +139,10 @@ def symbol_from_json(obj: dict, d: int) -> Symbol:
 
 
 def _element_to_json(el: FourierElement) -> dict:
-    coeffs = []
-    for idx in sorted(el.coeffs):
-        c = el.coeffs[idx]
-        coeffs.append({"index": list(idx), "re": c.real, "im": c.imag})
-    return {"coeffs": coeffs}
+    # coeffs builds its dict per read, so it is read once; the indices are
+    # distinct, so the sort never compares two values
+    coeffs = sorted(el.coeffs.items())
+    return {"coeffs": [{"index": list(idx), "re": c.real, "im": c.imag} for idx, c in coeffs]}
 
 
 def _coefficient_part(value, what: str = "coefficient parts") -> float:

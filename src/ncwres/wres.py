@@ -12,24 +12,28 @@ which vanishes when any exponent is odd and is an exact rational multiple
 of pi^(d/2) when all are even (half-integer Gamma values pair up with the
 even dimension).  No 2pi normalization is applied.
 
-One function, ``_residue_coefficient``, reads every residue, that of a
-product P # Q, without forming the product.  It visits the monomial pairs
-of ``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if
-the table gives its summed alpha a nonzero moment, a rational times
+Every residue is that of a product F_1 # ... # F_k, and one function,
+``_residue_coefficient``, reads it; one factor is read as F_1 # 1.  The
+products F_1 # ... # F_(k-1) are formed by ``symcalc.compose``, each
+cut below at -d minus the top degrees of the factors still to come, the
+lowest degree that can still reach -d.  The last product is never
+formed.  The reader visits its monomial pairs from
+``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if the
+table gives its summed alpha a nonzero moment, a rational times
 pi^(d/2), and sums every pair into one ``ncalg.WordSum``, exact integer
 numerators over one denominator.  The sum reads each coefficient through
 the integer form the ``NCPoly`` keeps on itself, so that form goes with
 the coefficient once the walk of ``gamma_pairs`` leaves it behind.  The
 result is a rational polynomial whose trace times pi^(d/2) is the
-residue; ``_product_residue`` traces it.
-``wodzicki_residue`` reads a symbol s as s # 1 and
-``trace_property_probe`` reads P # Q and Q # P.  ``wres_inverse_power``
-never forms the deepest parametrix term b_(d-2p), for any power p: it
-reads the band chain of b_0 + ... + b_(d-2p-1) and one pass against the
-operator symbol with b_0^p on the right, adds the two coefficients and
-traces them once.  The table caches every moment and an override writes
-into that cache, so an injected fault reaches the result exactly as it
-would through the full product.
+residue, and it is traced once.
+``wodzicki_residue`` reads [s] and ``trace_property_probe`` reads
+[P, Q] and [Q, P], so the probe forms no product.
+``wres_inverse_power`` never forms the deepest parametrix term
+b_(d-2p), for any power p: it reads p copies of b_0 + ... + b_(d-2p-1),
+and that sum against the operator symbol with b_0^p on the right, adds
+the two coefficients and traces them once.  The table caches every
+moment and an override writes into that cache, so an injected fault
+reaches the result exactly as it would through the full product.
 """
 
 from __future__ import annotations
@@ -90,27 +94,40 @@ class SphereIntegralTable:
 
 
 def _residue_coefficient(
-    p: Symbol, q: Symbol, table: SphereIntegralTable | None = None, tail: Symbol | None = None
+    factors: list[Symbol],
+    table: SphereIntegralTable | None = None,
+    tail: Symbol | None = None,
 ) -> NCPoly:
-    """Rational coefficient of the residue of (P # Q) . tail: its trace
-    times pi^(d/2) is the residue, and P # Q is never formed.
+    """Rational coefficient of the residue of (F_1 # ... # F_k) . tail:
+    its trace times pi^(d/2) is the residue.  One factor is read as
+    F_1 # 1.
 
-    ``tail`` is one monomial, or None for the identity.  Every moment is
-    a rational times pi^(d/2), so each pair with a nonzero moment in the
-    table (overrides included) goes into one ``WordSum``, weighted by
-    1/gamma! times that rational.  The pair loop multiplies integers
+    ``tail`` is one monomial, or None for the identity; the band is -d
+    minus its degree.  Each product F_1 # ... # F_j with 1 < j < k is
+    formed by ``compose`` and keeps only the degrees that can still
+    reach the band beside F_(j+1), ..., F_k: those at or above the band
+    minus the sum of their ``max_degree()``, so F_3, ..., F_k must be
+    nonzero.  The last product, (F_1 # ... # F_(k-1)) # F_k, is never
+    formed: every pair of it with a nonzero moment in the table
+    (overrides included) goes into one ``WordSum``, weighted by 1/gamma!
+    times that moment's rational.  The pair loop multiplies integers
     only; the sum's ``Fraction``s are formed once and multiplied by the
     tail's coefficient.
     """
-    d = p.d
+    d = factors[0].d
     table = SphereIntegralTable(d) if table is None else table
     band, shift, right = -d, (0,) * d, None
     if tail is not None:
         ((mono, right),) = tail.terms.items()
         band, shift = -d - mono.degree, mono.alpha
+    s, *rest = factors
+    rest = rest or [Symbol.one(d)]
+    while len(rest) > 1:
+        f, *rest = rest
+        s = compose(s, f, band - sum(g.max_degree() for g in rest))
     moment = table.get
     words = WordSum()
-    for inv, m1, c1, m2, c2 in gamma_pairs(p, q, band, band):
+    for inv, m1, c1, m2, c2 in gamma_pairs(s, rest[0], band, band):
         m = moment(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
         if m:
             words.add_product(c1, c2, inv * m.q)
@@ -123,37 +140,12 @@ def _traced(coef: NCPoly) -> TraceExpression:
     return trace(coef).scale(Scalar(1, coef.d // 2))
 
 
-def _product_residue(
-    p: Symbol, q: Symbol, table: SphereIntegralTable | None = None
-) -> TraceExpression:
-    """Residue of P # Q without forming it; its words are traced once."""
-    return _traced(_residue_coefficient(p, q, table))
-
-
 def wodzicki_residue(
     s: Symbol, table: SphereIntegralTable | None = None
 ) -> TraceExpression:
     """Exact residue of a symbol: trace the -d part against the moments.
     It is read as s # 1, whose only pairs are s's own monomials."""
-    return _product_residue(s, Symbol.one(s.d), table)
-
-
-def _power_coefficient(
-    x: Symbol, power: int, table: SphereIntegralTable | None
-) -> NCPoly:
-    """Residue coefficient of X # ... # X (``power`` factors).
-
-    Every factor has top degree -2, so with r factors still to come only
-    degrees >= -d + 2r can reach -d; each product keeps that band, and
-    the last one, the product that reaches -d, is read by the pair loop.
-    """
-    d = x.d
-    if power == 1:
-        return _residue_coefficient(x, Symbol.one(d), table)
-    s = x
-    for rest in range(power - 2, 0, -1):
-        s = compose(s, x, -d + 2 * rest)
-    return _residue_coefficient(s, x, table)
+    return _traced(_residue_coefficient([s], table))
 
 
 def wres_inverse_power(
@@ -176,11 +168,12 @@ def wres_inverse_power(
 
         Wres = res(B'^#power) + power . res( (B' # a) . (-b_0^power) ).
 
-    The first term is the band chain of ``_power_coefficient``; at power
-    1 it is skipped, since B' stops above degree -d.  The second is one
-    pass of the pair loop with b_0^power, taken pointwise, as its tail.
-    The two rational coefficients are added and traced once.  No
-    composition defect is formed.
+    Both terms are read by ``_residue_coefficient``: the first from
+    ``power`` copies of B', the second from B' and a with b_0^power,
+    taken pointwise, as its tail.  At power 1 the first is zero, since B'
+    stops above degree -d, and costs one walk over B''s monomials.  The
+    two rational coefficients are added and traced once.  No composition
+    defect is formed.
 
     D <= 0 (the volume at power d/2, and any higher power) reads the
     product of b_0 alone, and an explicit ``n`` below D that of
@@ -197,15 +190,15 @@ def wres_inverse_power(
     shallow = n is not None and n < deep
     if deep <= 0 or shallow:
         total = sum(parametrix_series(a, n if shallow else 0), Symbol.zero(d))
-        return _traced(_power_coefficient(total, power, table))
+        return _traced(_residue_coefficient([total] * power, table))
     terms = parametrix_series(a, deep - 1)
     head = sum(terms, Symbol.zero(d))
     b0_power = terms[0]
     for _ in range(power - 1):
         b0_power = b0_power.pointwise_mul(terms[0])
-    coef = _residue_coefficient(head, a, table, tail=b0_power.scale(-power))
-    if power > 1:
-        coef = _power_coefficient(head, power, table) + coef
+    coef = _residue_coefficient([head] * power, table) + _residue_coefficient(
+        [head, a], table, tail=b0_power.scale(-power)
+    )
     return _traced(coef)
 
 
@@ -214,8 +207,8 @@ def trace_property_probe(
 ) -> tuple[TraceExpression, TraceExpression, bool]:
     """Residues of p#q and q#p plus whether they agree modulo
     integration by parts; agreement is the trace property of the residue."""
-    r_pq = _product_residue(p, q, table)
-    r_qp = _product_residue(q, p, table)
+    r_pq = _traced(_residue_coefficient([p, q], table))
+    r_qp = _traced(_residue_coefficient([q, p], table))
     return r_pq, r_qp, trace_equal(r_pq, r_qp)
 
 

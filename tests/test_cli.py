@@ -266,6 +266,9 @@ def test_usage_errors_exit_two(capsys):
         ("\u0663", None),
         (None, " 7 "),
         (None, "1_0"),
+        # digits beyond Python's limit on integer strings
+        pytest.param("9" * 5000, None, id="5000-nines"),
+        pytest.param(None, "1" * 4301, id="env-4301-ones"),
     ],
 )
 def test_every_subcommand_checks_its_seed(capsys, monkeypatch, argv, seed, env):

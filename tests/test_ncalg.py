@@ -69,6 +69,11 @@ def test_letter_validation():
         with pytest.raises(ValueError):
             Letter("H", deriv)
     assert type(Letter("H", (1, 7)).deriv[0]) is int
+    # once the int letter is interned, True and 1.0 hash onto its key
+    Letter("H", (1, 0))
+    for deriv in ((True, 0), (1.0, 0), [0, 0]):
+        with pytest.raises(ValueError):
+            Letter("H", deriv)
 
 
 def test_normalize_cancels_nested_pairs():

@@ -232,6 +232,22 @@ def test_assignment_round_trip():
     assert json.dumps(obj) == json.dumps(assignment_to_json(back))
 
 
+def test_element_json_reads_the_coefficients_once(monkeypatch):
+    # coeffs builds a fresh dict per read, so a read per mode would make
+    # the serializer quadratic in the number of modes
+    theta = ThetaMatrix([[0.0, 0.3137], [-0.3137, 0.0]])
+    modes = {(k, 3 - k): k - 0.5j for k in range(-30, 31)}
+    asg = Assignment(theta, {"h": FourierElement(theta, modes)})
+    reads = []
+    view = FourierElement.coeffs.fget
+    monkeypatch.setattr(FourierElement, "coeffs", property(lambda el: reads.append(el) or view(el)))
+    (atom,) = assignment_to_json(asg)["atoms"].values()
+    assert len(reads) <= 1
+    assert atom["coeffs"] == [
+        {"index": list(k), "re": c.real, "im": c.imag} for k, c in sorted(modes.items())
+    ]
+
+
 def test_normalization_happens_on_parse():
     # an unnormalized adjacent h.h^-1 pair collapses when rebuilt
     obj = {

@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncwres import parametrix, serialize, symcalc, wres
@@ -12,7 +13,7 @@ from ncwres.parametrix import (
     parametrix_series,
     parametrix_terms,
 )
-from ncwres.randgen import random_probe_pair
+from ncwres.randgen import random_probe_pair, random_symbol
 from ncwres.symcalc import Symbol, XiMonomial, compose, symbol_product
 from ncwres.trace import ibp_reduce, trace, trace_equal
 from ncwres.verify import poisoned_table
@@ -205,6 +206,33 @@ def test_probe_forms_no_product(monkeypatch, d):
     monkeypatch.setattr(Symbol, "pointwise_mul", forbidden)
     monkeypatch.setattr(NCPoly, "__mul__", forbidden)
     assert [trace_property_probe(p, q) for p, q in pairs] == want
+
+
+def random_chain(d, seed):
+    """Three nonzero symbols, each of two degrees, whose top degrees lie
+    in -3..2 and sum to -d .. -d + 2."""
+    rng = np.random.default_rng(seed)
+    tops = rng.integers(-3, 3, size=3)
+    while not -d <= tops.sum() <= -d + 2:
+        tops = rng.integers(-3, 3, size=3)
+    chain = [random_symbol(d, rng, int(t)) + random_symbol(d, rng, int(t) - 1) for t in tops]
+    assert [f.max_degree() for f in chain] == tops.tolist()
+    return chain
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_reader_reads_any_chain_of_three(d):
+    # the reader cuts F1 # F2 at -d minus F3's top degree; the reference
+    # keeps two spare degrees at each step and reads the full product
+    nonzero = 0
+    for seed in range(8):
+        f1, f2, f3 = random_chain(d, seed)
+        product = compose(compose(f1, f2, -d - f3.max_degree() - 2), f3, -d - 2)
+        got = wres._traced(wres._residue_coefficient([f1, f2, f3]))
+        assert got == wodzicki_residue(product), seed
+        nonzero += not got.is_zero()
+    # the check is only as good as its nonzero cases
+    assert nonzero >= 7
 
 
 @pytest.mark.parametrize("d, power", [(4, 1), (4, 2), (6, 2), (6, 3), (8, 3)])
@@ -440,3 +468,14 @@ def test_eh_d6_residue_is_pinned(torsion):
     reduced = ibp_reduce(wres_inverse_power(OperatorSpec(d=6, include_t=torsion), 2))
     text = json.dumps(serialize.trace_expression_to_json(reduced), sort_keys=True)
     assert (hashlib.sha256(text.encode()).hexdigest(), len(reduced.terms)) == EH_D6[torsion]
+
+
+def test_d8_cubed_inverse_raw_residue_is_pinned():
+    # Wres(Delta^-3) at d=8 with torsion, before integration by parts: its
+    # first term reads a chain of three parametrix sums
+    raw = wres_inverse_power(OperatorSpec(d=8, include_t=True), 3)
+    text = json.dumps(serialize.trace_expression_to_json(raw), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(raw.terms)) == (
+        "30d9c07e9c4e104fd50298fc8cf613aabd1e6fb4523ab866aa39b6368d39e266",
+        192,
+    )
