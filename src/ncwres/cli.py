@@ -40,7 +40,9 @@ def resolve_seed(args) -> int:
         try:
             return int(raw)
         except ValueError:
-            pass
+            limit = sys.get_int_max_str_digits()
+            message = f"{name} has {len(raw)} digits, more than the {limit} Python reads"
+            raise SystemExit(_bad_input(message))
     raise SystemExit(_bad_input(f"{name} must be a nonnegative integer, not {raw!r}"))
 
 

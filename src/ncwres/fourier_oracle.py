@@ -41,7 +41,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .ncalg import Letter, NCPoly, Record
+from .ncalg import Letter, NCPoly, Record, format_letter
 from .symcalc import Symbol
 from .trace import TraceExpression
 
@@ -254,10 +254,15 @@ def nc_invert_neumann(x: FourierElement, tol: float = 1e-12) -> NeumannResult:
 
 
 class Assignment:
-    """Concrete values for the letters, with an evaluation cache.
+    """Concrete values for the letters, with one table from words to elements.
 
-    ``atoms`` maps "h", "t1".."td", "x" to elements; the inverse of h is
-    produced on demand by the Neumann series at the assignment tolerance.
+    ``atoms`` maps "h", "T1".."Td" and "X" to elements, the names
+    ``format_letter`` and the JSON form use.  The empty word is the
+    identity, h^-1 is the Neumann inverse of h at the assignment
+    tolerance, and any other letter is its atom with mode alpha scaled by
+    prod_a alpha_a^(k_a).  A longer word is its prefix times its last
+    letter, both read from the table, and pruned.  The table lives as
+    long as the assignment.
     """
 
     def __init__(self, theta: ThetaMatrix, atoms: dict[str, FourierElement], tol: float = 1e-10):
@@ -268,7 +273,6 @@ class Assignment:
         self.d = theta.d
         self.atoms = atoms
         self.tol = tol
-        self._letters: dict[Letter, FourierElement] = {}
         self._words: dict[tuple[Letter, ...], FourierElement] = {}
         self._h_inverse: NeumannResult | None = None
 
@@ -277,36 +281,26 @@ class Assignment:
             self._h_inverse = nc_invert_neumann(self.atoms["h"], self.tol)
         return self._h_inverse
 
-    def _letter(self, let: Letter) -> FourierElement:
-        hit = self._letters.get(let)
-        if hit is not None:
-            return hit
-        if let.kind == "H":
-            el = self.atoms["h"]
-        elif let.kind == "Hinv":
-            el = self.h_inverse().element
-        elif let.kind == "T":
-            el = self.atoms[f"t{let.axis}"]
-        else:
-            el = self.atoms["x"]
-        for axis, reps in enumerate(let.deriv, start=1):
-            for _ in range(reps):
-                el = el.derive(axis)
-        self._letters[let] = el
-        return el
-
     def evaluate_word(self, word: tuple[Letter, ...]) -> FourierElement:
         word = tuple(word)
         hit = self._words.get(word)
         if hit is not None:
             return hit
-        eps = self.tol * PRUNE_FACTOR
-        if word:
+        if len(word) > 1:
             # reuse the longest cached prefix; expressions share many
-            out = self.evaluate_word(word[:-1]) * self._letter(word[-1])
-            out = out.prune(eps)
-        else:
+            out = self.evaluate_word(word[:-1]) * self.evaluate_word(word[-1:])
+            out = out.prune(self.tol * PRUNE_FACTOR)
+        elif not word:
             out = FourierElement.one(self.theta)
+        elif word[0].kind == "Hinv":
+            out = self.h_inverse().element
+        else:
+            let = word[0]
+            out = self.atoms[format_letter(Letter(let.kind, (0,) * self.d, let.axis))]
+            if let.order:
+                # in floats: an int64 power of a large mode index wraps
+                factor = np.prod(out.idx.astype(float) ** let.deriv, axis=1)
+                out = out._masked(out.idx, out.val * factor)
         self._words[word] = out
         return out
 

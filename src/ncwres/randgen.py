@@ -138,6 +138,6 @@ def random_assignment(
     theta = random_theta(d, rng, theta_mode)
     atoms = {"h": random_self_adjoint(theta, rng, 2, eps / 2, radius, offset=1.0)}
     for axis in range(1, d + 1):
-        atoms[f"t{axis}"] = random_self_adjoint(theta, rng, 2, eps, radius)
-    atoms["x"] = random_self_adjoint(theta, rng, 2, eps, radius)
+        atoms[f"T{axis}"] = random_self_adjoint(theta, rng, 2, eps, radius)
+    atoms["X"] = random_self_adjoint(theta, rng, 2, eps, radius)
     return Assignment(theta, atoms, tol=tol)

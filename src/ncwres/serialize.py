@@ -4,11 +4,14 @@ Every emitter sorts its output, so equal values serialize to equal
 structures, and every parser rebuilds the exact value: rationals travel
 as integer pairs and floats as JSON numbers, which round-trip bit for
 bit through Python's json module.  A parser checks the shape it reads: a
-letter's ``deriv`` has one integer per dimension, a symbol term's
-``alpha`` is a list of one integer per dimension and its ``m`` an
-integer, and a scalar's ``num``, ``den`` and ``pi`` are integers (bool
-refused everywhere) with ``den`` nonzero.
-Anything else raises ``ValueError``.
+letter's ``deriv`` and a symbol term's ``alpha`` are lists of one
+integer per dimension, a term's ``m`` is an integer, and a scalar's
+``num``, ``den`` and ``pi`` are integers (bool refused everywhere) with
+``den`` nonzero.  Anything else raises ``ValueError``.
+
+An assignment's atoms travel under the names ``Assignment.atoms`` uses,
+"h", "T1".."Td" and "X", sorted by their lower-cased names (h, T1, T10,
+T2, ..., X).
 """
 
 from __future__ import annotations
@@ -60,10 +63,7 @@ def letter_to_json(let: Letter) -> dict:
 
 
 def letter_from_json(obj: dict, d: int) -> Letter:
-    deriv = tuple(obj["deriv"])
-    if len(deriv) != d or any(type(n) is not int for n in deriv):
-        raise ValueError(f"letter deriv must be {d} integers, not {obj['deriv']!r}")
-    return Letter(obj["base"], deriv, obj.get("axis"))
+    return Letter(obj["base"], _integers(obj["deriv"], d, "letter deriv"), obj.get("axis"))
 
 
 def _word_to_json(word: Word) -> list:
@@ -168,19 +168,9 @@ def _element_from_json(obj: dict, theta: ThetaMatrix) -> FourierElement:
     return FourierElement(theta, coeffs)
 
 
-def _atom_json_key(name: str) -> str:
-    return "h" if name == "h" else name.upper()
-
-
-def _atom_internal_key(name: str) -> str:
-    return "h" if name == "h" else name.lower()
-
-
 def assignment_to_json(asg: Assignment) -> dict:
-    atoms = {
-        _atom_json_key(name): _element_to_json(asg.atoms[name])
-        for name in sorted(asg.atoms)
-    }
+    # lower-cased names sort as h, T1, T10, T2, ..., X
+    atoms = {name: _element_to_json(asg.atoms[name]) for name in sorted(asg.atoms, key=str.lower)}
     return {
         "theta": asg.theta.mat.tolist(),
         "atoms": atoms,
@@ -198,8 +188,5 @@ def assignment_from_json(obj: dict) -> Assignment:
     names = {"h", "X", *(f"T{a}" for a in range(1, theta.d + 1))}
     if type(obj["atoms"]) is not dict or set(obj["atoms"]) != names:
         raise ValueError(f"atoms must be an object with exactly the keys {sorted(names)}")
-    atoms = {
-        _atom_internal_key(name): _element_from_json(sub, theta)
-        for name, sub in obj["atoms"].items()
-    }
+    atoms = {name: _element_from_json(sub, theta) for name, sub in obj["atoms"].items()}
     return Assignment(theta, atoms, tol=obj["tol"])

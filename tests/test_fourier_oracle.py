@@ -1,6 +1,8 @@
 """Numerical oracle: phase convention, inversion, letter evaluation."""
 
 import cmath
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -9,14 +11,16 @@ from hypothesis import strategies as st
 
 from ncwres.fourier_oracle import (
     BLOCK_PAIRS,
+    PRUNE_FACTOR,
     Assignment,
     FourierElement,
     ThetaMatrix,
     nc_invert_neumann,
 )
 from ncwres.ncalg import Algebra, Letter, NCPoly
-from ncwres.randgen import THETA_MODES, random_theta
-from ncwres.symcalc import Symbol
+from ncwres.randgen import THETA_MODES, random_assignment, random_letter, random_theta
+from ncwres.serialize import assignment_to_json
+from ncwres.symcalc import Symbol, multi_indices
 from ncwres.trace import ibp_reduce, trace
 
 THETA3 = ThetaMatrix(
@@ -264,9 +268,9 @@ def example_assignment(d: int = 3, eps: float = 0.05, seed: int = 11) -> Assignm
     atoms = {"h": h}
     for axis in range(1, d + 1):
         w = rand_element(theta, rng, modes=2).scale(eps)
-        atoms[f"t{axis}"] = w + w.adjoint()
+        atoms[f"T{axis}"] = w + w.adjoint()
     w = rand_element(theta, rng, modes=2).scale(eps)
-    atoms["x"] = w + w.adjoint()
+    atoms["X"] = w + w.adjoint()
     return Assignment(theta, atoms, tol=1e-10)
 
 
@@ -288,7 +292,7 @@ def test_evaluate_poly_matches_manual():
     asg = example_assignment()
     alg = Algebra(asg.d)
     p = alg.h() * alg.t(2) - alg.x().scale(3)
-    manual = asg.atoms["h"] * asg.atoms["t2"] - asg.atoms["x"].scale(3.0)
+    manual = asg.atoms["h"] * asg.atoms["T2"] - asg.atoms["X"].scale(3.0)
     assert (asg.evaluate_poly(p) - manual).norm1() < 1e-12
 
 
@@ -331,3 +335,91 @@ def test_self_adjointness_of_constructed_atoms():
     asg = example_assignment()
     for el in asg.atoms.values():
         assert el.is_self_adjoint(tol=1e-12)
+
+
+def derived_atom(asg: Assignment, let: Letter) -> FourierElement:
+    """A letter's element by repeated FourierElement.derive, the reference
+    for the word table's one-step read."""
+    if let.kind == "Hinv":
+        return asg.h_inverse().element
+    el = asg.atoms[{"H": "h", "X": "X"}.get(let.kind, f"T{let.axis}")]
+    for axis, reps in enumerate(let.deriv, start=1):
+        for _ in range(reps):
+            el = el.derive(axis)
+    return el
+
+
+def every_letter(d: int, max_order: int = 3) -> list[Letter]:
+    out = [Letter("Hinv", (0,) * d)]
+    for order in range(max_order + 1):
+        for deriv in multi_indices(d, order):
+            out += [Letter("H", deriv), Letter("X", deriv)]
+            out += [Letter("T", deriv, axis) for axis in range(1, d + 1)]
+    return out
+
+
+def test_one_letter_word_makes_no_product(monkeypatch):
+    asg = random_assignment(3, 0)
+    asg.h_inverse()
+    calls = []
+    real_mul = FourierElement.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(FourierElement, "__mul__", counting_mul)
+    for let in every_letter(3, max_order=2):
+        asg.evaluate_word((let,))
+    assert calls == []
+    # a two-letter word is one product of two table reads
+    asg.evaluate_word((Letter("H", (0, 0, 0)), Letter("X", (1, 0, 0))))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_letter_matches_its_derived_atom(d):
+    asg = random_assignment(d, 5)
+    for let in every_letter(d):
+        got, want = asg.evaluate_word((let,)), derived_atom(asg, let)
+        assert np.array_equal(got.idx, want.idx), let
+        # one product of the exact integer factors against one rounding
+        # per derivative
+        assert np.allclose(got.val, want.val, rtol=1e-14, atol=0), let
+
+
+def test_third_derivative_of_a_wide_mode_does_not_wrap():
+    # (2^30)^3 overflows int64, so the factor is taken in floating point
+    theta = ThetaMatrix.zero(2)
+    wide = FourierElement(theta, {(2**30, 2**30): 1e-3, (0, 1): 0.5})
+    asg = Assignment(theta, {"h": FourierElement.one(theta), "T1": wide, "T2": wide, "X": wide})
+    got = asg.evaluate_word((Letter("T", (3, 0), 1),))
+    assert got.coeffs == {(2**30, 2**30): 1e-3 * 2.0**90}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_words_match_the_left_to_right_product(d):
+    asg = random_assignment(d, 7)
+    rng = np.random.default_rng(d)
+    for _ in range(40):
+        word = tuple(random_letter(d, rng, max_order=2) for _ in range(rng.integers(0, 6)))
+        want = FourierElement.one(asg.theta)
+        for let in word:
+            # pruned after each product, as the table prunes
+            want = (want * derived_atom(asg, let)).prune(asg.tol * PRUNE_FACTOR)
+        assert (asg.evaluate_word(word) - want).norm1() <= 1e-14 * want.norm1()
+
+
+@pytest.mark.parametrize(
+    "d, digest",
+    [
+        (2, "5773208d02559277"),
+        (3, "721249534f43edff"),
+        (4, "e47057d1904935e3"),
+        # T10 sorts between T1 and T2
+        (10, "049490c2f5c91533"),
+    ],
+)
+def test_assignment_json_bytes_are_pinned(d, digest):
+    text = json.dumps(assignment_to_json(random_assignment(d, 0)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -179,7 +179,20 @@ def test_scalar_from_json_checks_the_shape(coef):
 
 
 @pytest.mark.parametrize(
-    "d, deriv", [(4, [1, 0]), (2, [0, 0, 0, 1]), (2, []), (2, [0.5, 0]), (2, [True, 0])]
+    "d, deriv",
+    [
+        (4, [1, 0]),
+        (2, [0, 0, 0, 1]),
+        (2, []),
+        (2, [0.5, 0]),
+        (2, [True, 0]),
+        # not a list at all: each is a bad shape, not a TypeError
+        (2, 5),
+        (2, None),
+        (2, "ab"),
+        (2, [0, True]),
+        (2, [0.0, 0]),
+    ],
 )
 def test_parsers_check_the_letter_shape(d, deriv):
     letter = {"base": "H", "deriv": deriv}
@@ -220,7 +233,7 @@ def test_assignment_round_trip():
     theta = ThetaMatrix([[0.0, 0.3137], [-0.3137, 0.0]])
     h = FourierElement(theta, {(0, 0): 1.0, (1, 0): 0.05, (-1, 0): 0.05})
     t1 = FourierElement(theta, {(0, 1): 0.02 + 0.01j, (0, -1): 0.02 - 0.01j})
-    asg = Assignment(theta, {"h": h, "t1": t1, "t2": t1, "x": t1.scale(0.5)}, tol=1e-10)
+    asg = Assignment(theta, {"h": h, "T1": t1, "T2": t1, "X": t1.scale(0.5)}, tol=1e-10)
     obj = assignment_to_json(asg)
     assert set(obj["atoms"]) == {"h", "T1", "T2", "X"}
     back = assignment_from_json(obj)
