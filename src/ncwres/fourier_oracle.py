@@ -42,7 +42,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .ncalg import Letter, NCPoly, Record, format_letter
-from .symcalc import Symbol
+from .symcalc import Symbol, _gamma_derivatives, _gamma_factorial, multi_indices
 from .trace import TraceExpression
 
 # entries this far below a certification tolerance cannot add up to harm it
@@ -331,22 +331,12 @@ def gamma_sum_evaluation(
     with the evaluated symbolic product cross-checks the polynomial
     multiplication against the convolution it represents.
     """
-    from math import factorial
-
-    from .symcalc import multi_indices
-
-    d = p.d
     pieces = []
     gamma_max = p.max_degree() + q.max_degree() - min_degree
     for order in range(gamma_max + 1):
-        for gamma in multi_indices(d, order):
-            weight = 1.0
-            dp, dq = p, q
-            for axis, reps in enumerate(gamma, start=1):
-                weight /= factorial(reps)
-                for _ in range(reps):
-                    dp = dp.partial_xi(axis)
-                    dq = dq.derive(axis)
+        for gamma in multi_indices(p.d, order):
+            weight = 1.0 / _gamma_factorial(gamma)
+            dp, dq = _gamma_derivatives(p, q, gamma)
             # each coefficient is evaluated once, not once per pair
             left: dict = {}
             right: dict = {}

@@ -166,19 +166,22 @@ class Letter:
 
     def __new__(cls, kind: str, deriv: tuple[int, ...], axis: int | None = None):
         # True and 1.0 would hash onto the letter of 1, 0.5 has no order and
-        # a list has no hash, so deriv is checked before the table is read
+        # a list has no hash, so all three types are checked before the lookup
+        if type(kind) is not str:
+            raise ValueError(f"unknown letter kind {kind!r}")
         if type(deriv) is not tuple or any(type(n) is not int for n in deriv):
             raise ValueError(f"deriv must be a tuple of ints, not {deriv!r}")
+        if axis is not None and type(axis) is not int:
+            raise ValueError(f"axis must be an int in 1..{len(deriv)}, not {axis!r}")
         key = (kind, deriv, axis)
         let = cls._interned.get(key)
-        # likewise only a plain int axis may hit the table
-        if let is not None and (axis is None or type(axis) is int):
+        if let is not None:
             return let
         if kind not in KIND_RANK:
             raise ValueError(f"unknown letter kind {kind!r}")
         if (kind == "T") != (axis is not None):
             raise ValueError("axis is required for T letters and only for them")
-        if axis is not None and (type(axis) is not int or not 1 <= axis <= len(deriv)):
+        if axis is not None and not 1 <= axis <= len(deriv):
             raise ValueError(f"axis must be an int in 1..{len(deriv)}, not {axis!r}")
         if kind == "Hinv" and any(deriv):
             raise ValueError("derived inverse must be expanded, not stored")

@@ -19,6 +19,8 @@ it does (h^(-2) gets -2 h'/h^3 at d=4).
 The parametrix recursion inverts the symbol degree by degree from the
 top.  The leading coefficient is a power of h, so its pointwise two-sided
 inverse is exact and the recursion stays inside the free algebra.
+``closed_forms`` builds the same terms a second way, one gamma at a time
+with pointwise products only.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .ncalg import Algebra, Frozen, Letter, NCPoly, Record
 from .symcalc import (
     Symbol,
     XiMonomial,
+    _gamma_derivatives,
     _gamma_factorial,
     compose,
     multi_indices,
@@ -109,13 +112,6 @@ def invert_leading(a: Symbol) -> Symbol:
     return Symbol(d, {XiMonomial((0,) * d, -1): inv})
 
 
-def _apply_gamma(s: Symbol, gamma: tuple[int, ...], xi_side: bool) -> Symbol:
-    for axis, reps in enumerate(gamma, start=1):
-        for _ in range(reps):
-            s = s.partial_xi(axis) if xi_side else s.derive(axis)
-    return s
-
-
 class ParametrixResult(Record):
     __slots__ = ("terms", "defect")
 
@@ -171,34 +167,34 @@ def parametrix_terms(a: Symbol, n: int, side: str = "left") -> ParametrixResult:
     return ParametrixResult(terms, product - Symbol.one(a.d))
 
 
+def closed_forms(spec: OperatorSpec, n: int) -> list[Symbol]:
+    """b_0 .. b_n term by term, a second route to ``parametrix_series``:
+
+        b_m = -( sum (1/gamma!) d_xi^gamma b_j . delta^gamma a_k ) . b_0
+
+    over j < m, k = 0..2 and |gamma| = m - j - 2 + k, with a_k the degree-k
+    part of the symbol.  Products are pointwise, so no ``compose`` is used.
+    """
+    a = laplace_symbol(spec)
+    parts = [a.homogeneous_part(k) for k in range(3)]
+    b0 = invert_leading(a)
+    bs = [b0]
+    for m in range(1, n + 1):
+        acc = Symbol.zero(spec.d)
+        for j, b in enumerate(bs):
+            for k in range(max(0, j + 2 - m), 3):
+                for gamma in multi_indices(spec.d, m - j - 2 + k):
+                    dp, dq = _gamma_derivatives(b, parts[k], gamma)
+                    acc = acc + dp.pointwise_mul(dq).scale(Fraction(1, _gamma_factorial(gamma)))
+        bs.append(-(acc.pointwise_mul(b0)))
+    return bs
+
+
 def closed_form_b1(spec: OperatorSpec) -> Symbol:
     """First subleading parametrix term, assembled directly."""
-    a = laplace_symbol(spec)
-    b0 = invert_leading(a)
-    a1, a2 = a.homogeneous_part(1), a.homogeneous_part(2)
-    acc = b0.pointwise_mul(a1)
-    for k in range(1, spec.d + 1):
-        acc = acc + b0.partial_xi(k).pointwise_mul(a2.derive(k))
-    return -(acc.pointwise_mul(b0))
+    return closed_forms(spec, 1)[1]
 
 
 def closed_form_b2(spec: OperatorSpec) -> Symbol:
-    """Second subleading parametrix term, assembled directly.
-
-    Every term carries a trailing b_0, including the second-order
-    gamma sum over the leading part.
-    """
-    a = laplace_symbol(spec)
-    b0 = invert_leading(a)
-    b1 = closed_form_b1(spec)
-    a0, a1, a2 = (a.homogeneous_part(i) for i in (0, 1, 2))
-    acc = b0.pointwise_mul(a0) + b1.pointwise_mul(a1)
-    for j in range(1, spec.d + 1):
-        acc = acc + b0.partial_xi(j).pointwise_mul(a1.derive(j))
-        acc = acc + b1.partial_xi(j).pointwise_mul(a2.derive(j))
-    for gamma in multi_indices(spec.d, 2):
-        inv = Fraction(1, _gamma_factorial(gamma))
-        acc = acc + _apply_gamma(b0, gamma, xi_side=True).pointwise_mul(
-            _apply_gamma(a2, gamma, xi_side=False)
-        ).scale(inv)
-    return -(acc.pointwise_mul(b0))
+    """Second subleading parametrix term, assembled directly."""
+    return closed_forms(spec, 2)[2]

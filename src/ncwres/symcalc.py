@@ -26,13 +26,17 @@ multiplies those pairs into one ``ncalg.WordSum`` per monomial, as
 pairs, or in many products, is converted once.  The residue pass in
 ``wres`` sums all the pairs, weighted by their sphere moments, into a
 single ``WordSum``.
+
+The reference routes, ``parametrix.closed_forms`` and the oracle's
+``gamma_sum_evaluation``, share no walk with ``gamma_pairs``: each
+derives every gamma from scratch through one step, ``_gamma_derivatives``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import factorial, prod
 
 from .ncalg import Combination, Frozen, NCPoly, WordSum, _accumulate, format_poly
 
@@ -172,10 +176,16 @@ def multi_indices(d: int, total: int) -> list[tuple[int, ...]]:
 
 
 def _gamma_factorial(gamma: tuple[int, ...]) -> int:
-    out = 1
-    for g in gamma:
-        out *= factorial(g)
-    return out
+    return prod(factorial(g) for g in gamma)
+
+
+def _gamma_derivatives(p: Symbol, q: Symbol, gamma: tuple[int, ...]) -> tuple[Symbol, Symbol]:
+    """(d_xi^gamma P, delta^gamma Q), each derived from scratch."""
+    for axis, reps in enumerate(gamma, start=1):
+        for _ in range(reps):
+            p = p.partial_xi(axis)
+            q = q.derive(axis)
+    return p, q
 
 
 def _sum_pairs(d: int, pairs) -> Symbol:

@@ -19,8 +19,7 @@ from .ncalg import Algebra, Scalar
 from .parametrix import (
     OperatorSpec,
     ParametrixResult,
-    closed_form_b1,
-    closed_form_b2,
+    closed_forms,
     laplace_symbol,
     parametrix_terms,
 )
@@ -104,8 +103,8 @@ def _defect(res: ParametrixResult) -> dict:
 
 
 def _closed_forms(spec: OperatorSpec, res: ParametrixResult) -> dict:
-    ok1 = res.terms[1] == closed_form_b1(spec)
-    ok2 = res.terms[2] == closed_form_b2(spec)
+    b = closed_forms(spec, 2)
+    ok1, ok2 = res.terms[1] == b[1], res.terms[2] == b[2]
     return _check(
         "closed-form-vs-recursion",
         ok1 and ok2,

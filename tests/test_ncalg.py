@@ -74,6 +74,10 @@ def test_letter_validation():
     for deriv in ((True, 0), (1.0, 0), [0, 0]):
         with pytest.raises(ValueError):
             Letter("H", deriv)
+    # a kind or an axis without a hash is refused before the table is read
+    for args in ((["H"], (0, 0)), ("T", (0, 0), [1]), (None, (0, 0)), ("T", (0, 0), {})):
+        with pytest.raises(ValueError):
+            Letter(*args)
 
 
 def test_normalize_cancels_nested_pairs():

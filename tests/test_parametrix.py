@@ -8,6 +8,7 @@ from ncwres.parametrix import (
     ParametrixResult,
     closed_form_b1,
     closed_form_b2,
+    closed_forms,
     invert_leading,
     laplace_symbol,
     parametrix_series,
@@ -188,6 +189,16 @@ def test_right_parametrix_matches_left_termwise():
     right = parametrix_terms(a, 2, side="right")
     assert left.terms == right.terms
     assert right.defect.is_zero()
+
+
+def test_closed_forms_and_right_series_match_through_b3():
+    # second routes to every term through b_3, at d=6 and at d=4
+    spec6 = OperatorSpec(d=6, include_t=True, include_x=True)
+    a = laplace_symbol(spec6)
+    want = parametrix_series(a, 3)
+    assert closed_forms(spec6, 3) == want
+    assert parametrix_series(a, 3, side="right") == want
+    assert closed_forms(SPEC_TX, 3) == parametrix_series(laplace_symbol(SPEC_TX), 3)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -195,7 +195,22 @@ def test_scalar_from_json_checks_the_shape(coef):
     ],
 )
 def test_parsers_check_the_letter_shape(d, deriv):
-    letter = {"base": "H", "deriv": deriv}
+    _assert_parsers_refuse({"base": "H", "deriv": deriv}, d)
+
+
+@pytest.mark.parametrize(
+    "letter",
+    [
+        # fields without a hash: a bad shape, not a TypeError
+        {"base": ["H"], "deriv": [0, 0]},
+        {"base": "T", "deriv": [0, 0], "axis": [1]},
+    ],
+)
+def test_parsers_check_the_letter_base_and_axis(letter):
+    _assert_parsers_refuse(letter, 2)
+
+
+def _assert_parsers_refuse(letter, d):
     poly = {"terms": [{"coef": {"num": 1, "den": 1, "pi": 0}, "word": [letter]}]}
     with pytest.raises(ValueError):
         poly_from_json(poly, d)

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from ncwres import randgen
 from ncwres.ncalg import Algebra, NCPoly, Scalar
-from ncwres.parametrix import OperatorSpec, _apply_gamma, laplace_symbol, parametrix_terms
+from ncwres.parametrix import OperatorSpec, laplace_symbol, parametrix_terms
 from ncwres.symcalc import (
     Symbol,
     XiMonomial,
+    _gamma_derivatives,
+    _gamma_factorial,
     compose,
     format_xi_monomial,
     gamma_pairs,
@@ -270,8 +272,8 @@ def _reference_pairs(p, q, lo, hi):
     hi = p.max_degree() + q.max_degree() if hi is None else hi
     for level in range(p.max_degree() + q.max_degree() - lo + 1):
         for gamma in multi_indices(p.d, level):
-            inv = Fraction(1, math.prod(math.factorial(g) for g in gamma))
-            dp, dq = _apply_gamma(p, gamma, True), _apply_gamma(q, gamma, False)
+            inv = Fraction(1, _gamma_factorial(gamma))
+            dp, dq = _gamma_derivatives(p, q, gamma)
             for m1, c1 in dp.terms.items():
                 for m2, c2 in dq.terms.items():
                     if lo <= m1.degree + m2.degree <= hi:

@@ -463,19 +463,36 @@ EH_D6 = {
 }
 
 
+def _pin(expr):
+    text = json.dumps(serialize.trace_expression_to_json(expr), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest(), len(expr.terms)
+
+
 @pytest.mark.parametrize("torsion", [False, True])
 def test_eh_d6_residue_is_pinned(torsion):
     reduced = ibp_reduce(wres_inverse_power(OperatorSpec(d=6, include_t=torsion), 2))
-    text = json.dumps(serialize.trace_expression_to_json(reduced), sort_keys=True)
-    assert (hashlib.sha256(text.encode()).hexdigest(), len(reduced.terms)) == EH_D6[torsion]
+    assert _pin(reduced) == EH_D6[torsion]
+
+
+def test_d6_inverse_residue_is_pinned():
+    # Wres(Delta^-1) at d=6 without torsion forms b_0..b_3 and takes b_4
+    # through its tail; pinned raw and in its ibp_reduce form
+    raw = wres_inverse_power(OperatorSpec(d=6, include_t=False), 1)
+    assert _pin(raw) == (
+        "d227f395569e5968c11eada48335d4286bf853b4d21f5afb9e325659e572cf31",
+        12984,
+    )
+    assert _pin(ibp_reduce(raw)) == (
+        "bbb3ba0091bf50876d6225156763ec77512f1df568392415477c33f11f35b114",
+        9828,
+    )
 
 
 def test_d8_cubed_inverse_raw_residue_is_pinned():
     # Wres(Delta^-3) at d=8 with torsion, before integration by parts: its
     # first term reads a chain of three parametrix sums
     raw = wres_inverse_power(OperatorSpec(d=8, include_t=True), 3)
-    text = json.dumps(serialize.trace_expression_to_json(raw), sort_keys=True)
-    assert (hashlib.sha256(text.encode()).hexdigest(), len(raw.terms)) == (
+    assert _pin(raw) == (
         "30d9c07e9c4e104fd50298fc8cf613aabd1e6fb4523ab866aa39b6368d39e266",
         192,
     )
