@@ -28,9 +28,11 @@ alpha_a, and the adjoint is
     (U^alpha)^* = exp(2 pi i sum_{j>k} theta_jk alpha_j alpha_k) U^(-alpha).
 
 Inverses come from a Neumann series around the zero mode, with an
-explicit 1-norm tail bound.  Products prune entries far below the
-working tolerance; the pruning threshold sits several orders below the
-certification tolerance, so the discarded mass never threatens a check.
+explicit 1-norm tail bound: its pruned powers are summed by one merge.
+Products prune entries far below the working tolerance; the pruning
+threshold sits several orders below the certification tolerance, so the
+discarded mass never threatens a check.  ``gamma_sum_evaluation``
+replays the composition sum with one product per gamma and left degree.
 """
 
 from __future__ import annotations
@@ -230,8 +232,10 @@ def nc_invert_neumann(x: FourierElement, tol: float = 1e-12) -> NeumannResult:
     """Inverse via the Neumann series around the zero mode.
 
     Writing x = lam (1 + u) with lam the zero mode, the series
-    sum (-u)^k / lam converges when ||u||_1 < 1; enough terms are taken
+    sum (-u)^j / lam converges when ||u||_1 < 1; enough terms are taken
     for the 1-norm tail r^(K+1) / ((1 - r) |lam|) to drop below tol.
+    Each power (-u)^j is the previous one times -u, pruned, and the
+    powers j = 0..K are summed by one merge: K products in all.
     """
     lam = x.trace()
     if lam == 0:
@@ -246,11 +250,12 @@ def nc_invert_neumann(x: FourierElement, tol: float = 1e-12) -> NeumannResult:
         k += 1
         tail *= r
     prune_eps = tol * PRUNE_FACTOR
-    # Horner form: s = 1 - u (1 - u (... ))
-    s = FourierElement.one(x.theta)
+    minus_u = u.scale(-1.0)
+    powers = [FourierElement.one(x.theta)]
     for _ in range(k):
-        s = (FourierElement.one(x.theta) - (u * s)).prune(prune_eps)
-    return NeumannResult(s.scale(1.0 / lam), tail / abs(lam), k + 1)
+        powers.append((powers[-1] * minus_u).prune(prune_eps))
+    s = _combine(x.theta, [(power, 1.0 / lam) for power in powers])
+    return NeumannResult(s, tail / abs(lam), k + 1)
 
 
 class Assignment:
@@ -319,35 +324,46 @@ class Assignment:
         return _combine(self.theta, terms)
 
 
+def _evaluated_terms(asg: Assignment, s: Symbol, lo: int, xi) -> list:
+    """(degree, (element, c m(xi))) for every word c w of every monomial m
+    of s with degree at least lo; each word is read from the table once."""
+    return [
+        (mono.degree, (asg.evaluate_word(word), float(sc) * mono.eval(xi)))
+        for mono, coef in s.terms.items()
+        if mono.degree >= lo
+        for word, sc in coef.terms.items()
+    ]
+
+
 def gamma_sum_evaluation(
     asg: Assignment, p: Symbol, q: Symbol, min_degree: int, xi
 ) -> FourierElement:
     """Composition evaluated numerically, bypassing symbol arithmetic.
 
     Runs the same finite gamma sum as the symbolic composition, but each
-    piece is evaluated to a concrete element first and the pieces are
+    side is evaluated to concrete elements first and the sides are
     combined by twisted convolution; only monomial pairs at or above
-    min_degree contribute, mirroring the symbolic truncation.  Agreement
-    with the evaluated symbolic product cross-checks the polynomial
-    multiplication against the convolution it represents.
+    min_degree contribute, mirroring the symbolic truncation.  For each
+    gamma, the monomials of d_xi^gamma P of degree a sum at xi into one
+    element L_a, those of delta^gamma Q of degree >= min_degree - a into
+    one element R_a, and the gamma sum adds L_a R_a / gamma!: one product
+    per gamma and left degree.  Only monomials with a partner at or above
+    the cut are evaluated.  Agreement with the evaluated symbolic product
+    cross-checks the polynomial multiplication against the convolution
+    it represents.
     """
-    pieces = []
+    theta = asg.theta
+    products = []
     gamma_max = p.max_degree() + q.max_degree() - min_degree
     for order in range(gamma_max + 1):
         for gamma in multi_indices(p.d, order):
-            weight = 1.0 / _gamma_factorial(gamma)
             dp, dq = _gamma_derivatives(p, q, gamma)
-            # each coefficient is evaluated once, not once per pair
-            left: dict = {}
-            right: dict = {}
-            for mono1, coef1 in dp.terms.items():
-                for mono2, coef2 in dq.terms.items():
-                    if mono1.degree + mono2.degree < min_degree:
-                        continue
-                    scal = weight * mono1.eval(xi) * mono2.eval(xi)
-                    if mono1 not in left:
-                        left[mono1] = asg.evaluate_poly(coef1)
-                    if mono2 not in right:
-                        right[mono2] = asg.evaluate_poly(coef2)
-                    pieces.append((left[mono1] * right[mono2], scal))
-    return _combine(asg.theta, pieces)
+            if not dp.terms or not dq.terms:
+                continue
+            left = _evaluated_terms(asg, dp, min_degree - dq.max_degree(), xi)
+            right = _evaluated_terms(asg, dq, min_degree - dp.max_degree(), xi)
+            for a in sorted({deg for deg, _ in left}):
+                left_a = _combine(theta, [t for deg, t in left if deg == a])
+                right_a = _combine(theta, [t for deg, t in right if deg >= min_degree - a])
+                products.append((left_a * right_a, 1.0 / _gamma_factorial(gamma)))
+    return _combine(theta, products)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fourier_oracle import Assignment, FourierElement, ThetaMatrix
+from .fourier_oracle import Assignment, FourierElement, ThetaMatrix, _combine
 from .ncalg import Letter, NCPoly
 from .symcalc import Symbol, XiMonomial, multi_indices
 
@@ -109,18 +109,19 @@ def random_self_adjoint(
 ) -> FourierElement:
     """offset * 1 + (m + m*) with small random modes within the radius."""
     rng = _rng(rng)
-    el = FourierElement(theta)
+    drawn = []
     for _ in range(modes):
         idx = tuple(int(v) for v in rng.integers(-radius, radius + 1, size=theta.d))
         if not any(idx):
             continue
         # bounded draws keep the off-mode mass under the Neumann radius
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
-        el = el + FourierElement.monomial(theta, idx, c)
-    el = el + el.adjoint()
+        drawn.append((FourierElement.monomial(theta, idx, c), 1.0))
+    el = _combine(theta, drawn)
+    parts = [(el, 1.0), (el.adjoint(), 1.0)]
     if offset:
-        el = el + FourierElement.one(theta).scale(offset)
-    return el
+        parts.append((FourierElement.one(theta), offset))
+    return _combine(theta, parts)
 
 
 def random_assignment(

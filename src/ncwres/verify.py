@@ -160,12 +160,20 @@ def worst_reduction_gap(asg: Assignment, exprs: list[TraceExpression]) -> float:
 
 
 def _identities(d: int) -> list[TraceExpression]:
-    """Trace identities whose ibp_reduce form the oracle must reproduce."""
+    """Trace identities whose ibp_reduce form the oracle must reproduce.
+
+    Each holds two copies of one atom, so a term survives the trace
+    through modes that cancel against their own conjugates, whatever the
+    random modes of the other atoms; a trace of three distinct atoms
+    vanishes unless their modes happen to sum to zero.
+    """
     alg = Algebra(d)
+    h, t, x = alg.h(), alg.t(1), alg.x()
+    axis = min(2, d)
     return [
-        trace(alg.h() * alg.h().derive(1).derive(1)),
-        trace((alg.h() * alg.t(1) * alg.h()).derive(min(2, d))),
-        trace(alg.hinv() * alg.h() * alg.x()) - trace(alg.x()),
+        trace(h * h.derive(1).derive(1)),
+        trace(h * t * t.derive(axis).derive(axis)),
+        trace(alg.hinv() * x * (x * h).derive(axis).derive(axis)),
     ]
 
 

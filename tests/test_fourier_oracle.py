@@ -15,13 +15,27 @@ from ncwres.fourier_oracle import (
     Assignment,
     FourierElement,
     ThetaMatrix,
+    gamma_sum_evaluation,
     nc_invert_neumann,
 )
 from ncwres.ncalg import Algebra, Letter, NCPoly
-from ncwres.randgen import THETA_MODES, random_assignment, random_letter, random_theta
+from ncwres.randgen import (
+    THETA_MODES,
+    random_assignment,
+    random_letter,
+    random_symbol,
+    random_theta,
+)
 from ncwres.serialize import assignment_to_json
-from ncwres.symcalc import Symbol, multi_indices
+from ncwres.symcalc import (
+    Symbol,
+    _gamma_derivatives,
+    _gamma_factorial,
+    multi_indices,
+    symbol_product,
+)
 from ncwres.trace import ibp_reduce, trace
+from ncwres.verify import _identities
 
 THETA3 = ThetaMatrix(
     [
@@ -258,6 +272,38 @@ def test_neumann_on_scalar_is_exact():
     assert (res.element - FourierElement.one(theta).scale(0.25)).norm1() == 0
 
 
+def horner_inverse(x: FourierElement, tol: float) -> tuple[FourierElement, float, int]:
+    """The Neumann partial sum in Horner form, s = 1 - u (1 - u (...)),
+    pruned after each step: the reference for the summed powers."""
+    lam = x.trace()
+    u = x.scale(1.0 / lam) - FourierElement.one(x.theta)
+    r = u.norm1()
+    k, tail = 0, r / (1.0 - r)
+    while tail > tol * abs(lam) and r > 0:
+        k += 1
+        tail *= r
+    s = FourierElement.one(x.theta)
+    for _ in range(k):
+        s = (FourierElement.one(x.theta) - u * s).prune(tol * PRUNE_FACTOR)
+    return s.scale(1.0 / lam), tail / abs(lam), k + 1
+
+
+# the two forms prune different entries (powers against partial sums), so
+# they differ by some multiples of tol * PRUNE_FACTOR: up to 1.3e-13 at the
+# assignment tolerance 1e-10, 2.6e-15 at the default 1e-12
+@pytest.mark.parametrize("tol, agree", [(1e-12, 1e-13), (1e-10, 1e-12)])
+@pytest.mark.parametrize("mode", THETA_MODES)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_neumann_powers_match_the_horner_form(d, mode, tol, agree):
+    for seed in (0, 1):
+        h = random_assignment(d, seed, theta_mode=mode).atoms["h"]
+        res = nc_invert_neumann(h, tol)
+        want, tail, terms = horner_inverse(h, tol)
+        assert (res.element - want).norm1() <= agree
+        assert res.terms == terms and res.tail_bound == tail
+        assert (h * res.element - FourierElement.one(h.theta)).norm1() <= res.tail_bound + 1e-12
+
+
 def example_assignment(d: int = 3, eps: float = 0.05, seed: int = 11) -> Assignment:
     theta = THETA3 if d == 3 else ThetaMatrix.zero(d)
     rng = np.random.default_rng(seed)
@@ -308,6 +354,21 @@ def test_symbolic_reduction_certified_by_oracle():
     # and the defining zero: the trace of any derivative vanishes
     zero_e = trace((alg.h() * alg.t(1) * alg.h()).derive(2))
     assert abs(asg.evaluate_trace_expression(zero_e)) < 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_oracle_identities_bite(d):
+    # an identity whose terms all evaluate to 0, or that ibp_reduce
+    # leaves as it is, would certify nothing
+    for e in _identities(d):
+        reduced = ibp_reduce(e)
+        assert {tw.word for tw in reduced.terms} != {tw.word for tw in e.terms}
+        for seed in (0, 1):
+            asg = random_assignment(d, seed)
+            values = [abs(float(sc) * asg.evaluate_word(tw.word).trace()) for tw, sc in e.terms.items()]
+            assert max(values, default=0.0) > 1e-6, (seed, e)
+            gap = asg.evaluate_trace_expression(e) - asg.evaluate_trace_expression(reduced)
+            assert abs(gap) < 1e-8
 
 
 def test_evaluate_symbol_at_point():
@@ -423,3 +484,77 @@ def test_random_words_match_the_left_to_right_product(d):
 def test_assignment_json_bytes_are_pinned(d, digest):
     text = json.dumps(assignment_to_json(random_assignment(d, 0)))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def pair_loop_gamma_sum(asg: Assignment, p: Symbol, q: Symbol, min_degree: int, xi) -> FourierElement:
+    """The gamma sum one monomial pair at a time, with one product per pair
+    that reaches min_degree: the reference for the grouped products."""
+    total = FourierElement(asg.theta)
+    gamma_max = p.max_degree() + q.max_degree() - min_degree
+    for order in range(gamma_max + 1):
+        for gamma in multi_indices(p.d, order):
+            weight = 1.0 / _gamma_factorial(gamma)
+            dp, dq = _gamma_derivatives(p, q, gamma)
+            for mono1, coef1 in dp.terms.items():
+                for mono2, coef2 in dq.terms.items():
+                    if mono1.degree + mono2.degree >= min_degree:
+                        piece = asg.evaluate_poly(coef1) * asg.evaluate_poly(coef2)
+                        total = total + piece.scale(weight * mono1.eval(xi) * mono2.eval(xi))
+    return total
+
+
+def gamma_left_degrees(p: Symbol, q: Symbol, min_degree: int) -> int:
+    """Number of (gamma, degree of a monomial of d_xi^gamma P) pairs."""
+    gamma_max = p.max_degree() + q.max_degree() - min_degree
+    return sum(
+        len({mono.degree for mono in _gamma_derivatives(p, q, gamma)[0].terms})
+        for order in range(gamma_max + 1)
+        for gamma in multi_indices(p.d, order)
+    )
+
+
+def gamma_sum_cases():
+    """The oracle benchmark's ten d=2 pairs (seed 816), then three seeded
+    d=3 pairs at each theta mode, each with its assignment, cut and xi."""
+    rng = np.random.default_rng(816)
+    asg = random_assignment(2, 816, theta_mode="irrational", eps=0.08)
+    for _ in range(10):
+        deg_p, deg_q = int(rng.integers(0, 3)), int(rng.integers(-2, 2))
+        p, q = random_symbol(2, rng, deg_p), random_symbol(2, rng, deg_q)
+        yield asg, p, q, deg_p + deg_q - 2, (0.7, -1.3)
+    for k, mode in enumerate(THETA_MODES):
+        rng = np.random.default_rng(30 + k)
+        asg = random_assignment(3, 30 + k, theta_mode=mode, eps=0.08)
+        for _ in range(3):
+            deg_p, deg_q = int(rng.integers(0, 3)), int(rng.integers(-2, 2))
+            p, q = random_symbol(3, rng, deg_p), random_symbol(3, rng, deg_q)
+            yield asg, p, q, deg_p + deg_q - 2, (0.7, -1.3, 0.4)
+
+
+def test_gamma_sum_matches_the_pair_loop_with_one_product_per_left_degree(monkeypatch):
+    depth, products = [0], [0]
+    real_mul, real_word = FourierElement.__mul__, Assignment.evaluate_word
+
+    def counting_mul(a, b):
+        products[0] += depth[0] == 0
+        return real_mul(a, b)
+
+    def word_depth(asg, word):
+        depth[0] += 1
+        try:
+            return real_word(asg, word)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FourierElement, "__mul__", counting_mul)
+    monkeypatch.setattr(Assignment, "evaluate_word", word_depth)
+    for asg, p, q, cut, xi in gamma_sum_cases():
+        want = pair_loop_gamma_sum(asg, p, q, cut, xi)
+        products[0] = 0
+        got = gamma_sum_evaluation(asg, p, q, cut, xi)
+        # the piece products, not the word table's
+        assert products[0] <= gamma_left_degrees(p, q, cut)
+        assert (got - want).norm1() <= 1e-12
+        # and the sum is a nonzero composition, as symbol_product gives it
+        lhs = asg.evaluate_symbol(symbol_product(p, q, cut), xi)
+        assert lhs.norm1() > 1e-6 and (lhs - got).norm1() < 1e-8
