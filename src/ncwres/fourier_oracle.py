@@ -33,6 +33,13 @@ Products prune entries far below the working tolerance; the pruning
 threshold sits several orders below the certification tolerance, so the
 discarded mass never threatens a check.  ``gamma_sum_evaluation``
 replays the composition sum with one product per gamma and left degree.
+
+Words, polynomials and trace expressions are read from an assignment's
+table of words, each word its prefix times its last letter.  A symbol
+at xi is first collapsed into one sum of words and then evaluated by
+Horner's rule on the first letter, so words that share leading letters
+share their products; the longer words of a symbol never enter the
+table.
 """
 
 from __future__ import annotations
@@ -267,7 +274,9 @@ class Assignment:
     tolerance, and any other letter is its atom with mode alpha scaled by
     prod_a alpha_a^(k_a).  A longer word is its prefix times its last
     letter, both read from the table, and pruned.  The table lives as
-    long as the assignment.
+    long as the assignment.  Words, polynomials and trace expressions
+    are read from it; a symbol reads only its letters from it and
+    groups its words by their leading letters (``evaluate_symbol``).
     """
 
     def __init__(self, theta: ThetaMatrix, atoms: dict[str, FourierElement], tol: float = 1e-10):
@@ -320,19 +329,56 @@ class Assignment:
         return total
 
     def evaluate_symbol(self, s: Symbol, xi) -> FourierElement:
-        terms = [(self.evaluate_poly(coef), mono.eval(xi)) for mono, coef in s.terms.items()]
+        """The symbol at xi.  Its words collapse into one sum
+        sum_w (sum_m m(xi) c_mw) w, whose zero sums are dropped, and that
+        sum is evaluated by Horner's rule on the first letter,
+
+            E(sum_w c_w w) = c_() 1 + sum_l E(l) E(Q_l),
+
+        with Q_l the rests of the words that begin with l.  Words that
+        share leading letters share their products, where the table would
+        make one product per word; every product is pruned as the table
+        prunes.
+        """
+        sums: dict[tuple[Letter, ...], float] = {}
+        for mono, coef in s.terms.items():
+            m = mono.eval(xi)
+            for word, sc in coef.terms.items():
+                sums[word] = sums.get(word, 0.0) + m * float(sc)
+        return self._evaluate_word_sum({w: c for w, c in sums.items() if c != 0})
+
+    def _evaluate_word_sum(self, sums: dict) -> FourierElement:
+        """E(sum_w c_w w), one Horner step per first letter; letters come
+        from the table, and a letter whose only rest is the empty word
+        makes no product."""
+        groups: dict[Letter, dict] = {}
+        terms = []
+        for word, c in sums.items():
+            if word:
+                groups.setdefault(word[0], {})[word[1:]] = c
+            else:
+                terms.append((FourierElement.one(self.theta), c))
+        for let, rests in groups.items():
+            head = self.evaluate_word((let,))
+            if rests.keys() == {()}:
+                terms.append((head, rests[()]))
+            else:
+                tail = self._evaluate_word_sum(rests)
+                terms.append(((head * tail).prune(self.tol * PRUNE_FACTOR), 1.0))
         return _combine(self.theta, terms)
 
 
 def _evaluated_terms(asg: Assignment, s: Symbol, lo: int, xi) -> list:
     """(degree, (element, c m(xi))) for every word c w of every monomial m
-    of s with degree at least lo; each word is read from the table once."""
-    return [
-        (mono.degree, (asg.evaluate_word(word), float(sc) * mono.eval(xi)))
-        for mono, coef in s.terms.items()
-        if mono.degree >= lo
-        for word, sc in coef.terms.items()
-    ]
+    of s with degree at least lo; m(xi) is taken once per monomial, and
+    each word is read from the table once."""
+    out = []
+    for mono, coef in s.terms.items():
+        if mono.degree >= lo:
+            m = mono.eval(xi)
+            for word, sc in coef.terms.items():
+                out.append((mono.degree, (asg.evaluate_word(word), float(sc) * m)))
+    return out
 
 
 def gamma_sum_evaluation(

@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -419,23 +420,30 @@ def every_letter(d: int, max_order: int = 3) -> list[Letter]:
     return out
 
 
-def test_one_letter_word_makes_no_product(monkeypatch):
-    asg = random_assignment(3, 0)
-    asg.h_inverse()
-    calls = []
+def counting_mode_pairs(monkeypatch) -> list[int]:
+    """[products, mode pairs] made by FourierElement.__mul__ from now on."""
+    counts = [0, 0]
     real_mul = FourierElement.__mul__
 
     def counting_mul(a, b):
-        calls.append(1)
+        counts[0] += 1
+        counts[1] += len(a.val) * len(b.val)
         return real_mul(a, b)
 
     monkeypatch.setattr(FourierElement, "__mul__", counting_mul)
+    return counts
+
+
+def test_one_letter_word_makes_no_product(monkeypatch):
+    asg = random_assignment(3, 0)
+    asg.h_inverse()
+    counts = counting_mode_pairs(monkeypatch)
     for let in every_letter(3, max_order=2):
         asg.evaluate_word((let,))
-    assert calls == []
+    assert counts[0] == 0
     # a two-letter word is one product of two table reads
     asg.evaluate_word((Letter("H", (0, 0, 0)), Letter("X", (1, 0, 0))))
-    assert len(calls) == 1
+    assert counts[0] == 1
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -558,3 +566,41 @@ def test_gamma_sum_matches_the_pair_loop_with_one_product_per_left_degree(monkey
         # and the sum is a nonzero composition, as symbol_product gives it
         lhs = asg.evaluate_symbol(symbol_product(p, q, cut), xi)
         assert lhs.norm1() > 1e-6 and (lhs - got).norm1() < 1e-8
+
+
+def test_evaluate_symbol_matches_the_word_by_word_sum():
+    for asg, p, q, cut, xi in gamma_sum_cases():
+        s = symbol_product(p, q, cut)
+        got = asg.evaluate_symbol(s, xi)
+        want = FourierElement(asg.theta)
+        for mono, coef in s.terms.items():
+            want = want + asg.evaluate_poly(coef).scale(mono.eval(xi))
+        assert (got - want).norm1() < 1e-10
+        assert (got - gamma_sum_evaluation(asg, p, q, cut, xi)).norm1() < 1e-10
+
+
+def test_evaluate_symbol_shares_the_leading_letters_of_its_words(monkeypatch):
+    # pool pair 7 is the oracle benchmark's largest composition; one
+    # product per word, prefix times last letter, makes 1 047 406 mode pairs
+    asg, p, q, cut, xi = next(itertools.islice(gamma_sum_cases(), 7, None))
+    asg.h_inverse()
+    s = symbol_product(p, q, cut)
+    counts = counting_mode_pairs(monkeypatch)
+    asg.evaluate_symbol(s, xi)
+    assert 0 < counts[1] < 300_000
+
+
+def test_cancelled_word_and_constant_word_make_no_product(monkeypatch):
+    asg = random_assignment(2, 0)
+    alg = Algebra(2)
+    hx = alg.h() * alg.x()
+    s = (
+        Symbol.from_poly(hx, alpha=(1, 0))
+        - Symbol.from_poly(hx, alpha=(0, 1))
+        + Symbol.from_poly(alg.one().scale(3), alpha=(0, 1))
+    )
+    counts = counting_mode_pairs(monkeypatch)
+    # xi_1 = xi_2, so the coefficients of hX cancel
+    got = asg.evaluate_symbol(s, (2.0, 2.0))
+    assert counts == [0, 0]
+    assert got.coeffs == {(0, 0): 6.0}
