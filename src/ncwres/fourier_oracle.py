@@ -34,12 +34,13 @@ threshold sits several orders below the certification tolerance, so the
 discarded mass never threatens a check.  ``gamma_sum_evaluation``
 replays the composition sum with one product per gamma and left degree.
 
-Words, polynomials and trace expressions are read from an assignment's
-table of words, each word its prefix times its last letter.  A symbol
-at xi is first collapsed into one sum of words and then evaluated by
-Horner's rule on the first letter, so words that share leading letters
-share their products; the longer words of a symbol never enter the
-table.
+The assignment's table of words is the only place where a word becomes
+an element: each word is its prefix times its last letter.  Words,
+polynomials, trace expressions and the gamma sides are read from it.  A
+symbol at xi is first collapsed into one sum of words and then evaluated
+by Horner's rule on the first letter, so words that share a leading
+letter share its product, and a word that shares it with no other is
+read from the table whole.
 """
 
 from __future__ import annotations
@@ -274,15 +275,18 @@ class Assignment:
     tolerance, and any other letter is its atom with mode alpha scaled by
     prod_a alpha_a^(k_a).  A longer word is its prefix times its last
     letter, both read from the table, and pruned.  The table lives as
-    long as the assignment.  Words, polynomials and trace expressions
-    are read from it; a symbol reads only its letters from it and
-    groups its words by their leading letters (``evaluate_symbol``).
+    long as the assignment.  It is the only place where a word becomes an
+    element: polynomials, trace expressions and symbols read their words
+    from it, a symbol sharing the leading letters of its words
+    (``evaluate_symbol``).
     """
 
     def __init__(self, theta: ThetaMatrix, atoms: dict[str, FourierElement], tol: float = 1e-10):
-        # a tolerance <= 0 would never stop the Neumann series
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-            raise ValueError(f"tolerance must be a finite number > 0, not {tol!r}")
+        # below float64 epsilon |h h^-1 - 1| cannot meet the certified tail
+        # and the Neumann series only grows; at tol <= 0 it never stops
+        eps = np.finfo(float).eps
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not eps <= tol < math.inf:
+            raise ValueError(f"tolerance must be a finite number >= {eps:.3e}, not {tol!r}")
         self.theta = theta
         self.d = theta.d
         self.atoms = atoms
@@ -318,9 +322,12 @@ class Assignment:
         self._words[word] = out
         return out
 
+    def _table_sum(self, sums: dict) -> FourierElement:
+        """sum_w c_w E(w) over {word: c_w}, every word read from the table."""
+        return _combine(self.theta, [(self.evaluate_word(w), c) for w, c in sums.items()])
+
     def evaluate_poly(self, p: NCPoly) -> FourierElement:
-        terms = [(self.evaluate_word(word), float(sc)) for word, sc in p.terms.items()]
-        return _combine(self.theta, terms)
+        return self._table_sum({word: float(sc) for word, sc in p.terms.items()})
 
     def evaluate_trace_expression(self, e: TraceExpression) -> complex:
         total = 0.0 + 0.0j
@@ -336,49 +343,40 @@ class Assignment:
             E(sum_w c_w w) = c_() 1 + sum_l E(l) E(Q_l),
 
         with Q_l the rests of the words that begin with l.  Words that
-        share leading letters share their products, where the table would
-        make one product per word; every product is pruned as the table
-        prunes.
+        share a leading letter share its product; a word that shares it
+        with no other is read from the table whole.
         """
-        sums: dict[tuple[Letter, ...], float] = {}
-        for mono, coef in s.terms.items():
-            m = mono.eval(xi)
-            for word, sc in coef.terms.items():
-                sums[word] = sums.get(word, 0.0) + m * float(sc)
-        return self._evaluate_word_sum({w: c for w, c in sums.items() if c != 0})
+        return self._evaluate_word_sum(_word_sums(s, xi))
 
     def _evaluate_word_sum(self, sums: dict) -> FourierElement:
-        """E(sum_w c_w w), one Horner step per first letter; letters come
-        from the table, and a letter whose only rest is the empty word
-        makes no product."""
-        groups: dict[Letter, dict] = {}
-        terms = []
+        """E(sum_w c_w w), grouping the words by their first letter.  A
+        group of one word, the empty word or a lone letter included, is
+        that word from the table; a larger group is one Horner step, its
+        letter times the sum of its rests, pruned as the table prunes."""
+        groups: dict[tuple[Letter, ...], dict] = {}
         for word, c in sums.items():
-            if word:
-                groups.setdefault(word[0], {})[word[1:]] = c
+            groups.setdefault(word[:1], {})[word] = c
+        terms = []
+        for head, words in groups.items():
+            if len(words) == 1:
+                ((word, c),) = words.items()
+                terms.append((self.evaluate_word(word), c))
             else:
-                terms.append((FourierElement.one(self.theta), c))
-        for let, rests in groups.items():
-            head = self.evaluate_word((let,))
-            if rests.keys() == {()}:
-                terms.append((head, rests[()]))
-            else:
-                tail = self._evaluate_word_sum(rests)
-                terms.append(((head * tail).prune(self.tol * PRUNE_FACTOR), 1.0))
+                rests = {w[1:]: c for w, c in words.items()}
+                out = self.evaluate_word(head) * self._evaluate_word_sum(rests)
+                terms.append((out.prune(self.tol * PRUNE_FACTOR), 1.0))
         return _combine(self.theta, terms)
 
 
-def _evaluated_terms(asg: Assignment, s: Symbol, lo: int, xi) -> list:
-    """(degree, (element, c m(xi))) for every word c w of every monomial m
-    of s with degree at least lo; m(xi) is taken once per monomial, and
-    each word is read from the table once."""
-    out = []
+def _word_sums(s: Symbol, xi) -> dict:
+    """{w: sum_m m(xi) c_mw} over the words w of s, m(xi) taken once per
+    monomial m; words whose sum is 0 are dropped."""
+    sums: dict[tuple[Letter, ...], float] = {}
     for mono, coef in s.terms.items():
-        if mono.degree >= lo:
-            m = mono.eval(xi)
-            for word, sc in coef.terms.items():
-                out.append((mono.degree, (asg.evaluate_word(word), float(sc) * m)))
-    return out
+        m = mono.eval(xi)
+        for word, sc in coef.terms.items():
+            sums[word] = sums.get(word, 0.0) + m * float(sc)
+    return {w: c for w, c in sums.items() if c != 0}
 
 
 def gamma_sum_evaluation(
@@ -390,15 +388,15 @@ def gamma_sum_evaluation(
     side is evaluated to concrete elements first and the sides are
     combined by twisted convolution; only monomial pairs at or above
     min_degree contribute, mirroring the symbolic truncation.  For each
-    gamma, the monomials of d_xi^gamma P of degree a sum at xi into one
-    element L_a, those of delta^gamma Q of degree >= min_degree - a into
-    one element R_a, and the gamma sum adds L_a R_a / gamma!: one product
-    per gamma and left degree.  Only monomials with a partner at or above
-    the cut are evaluated.  Agreement with the evaluated symbolic product
-    cross-checks the polynomial multiplication against the convolution
-    it represents.
+    gamma, the monomials of d_xi^gamma P of degree a collapse at xi into
+    one word sum, read from the word table as one element L_a, and those
+    of delta^gamma Q of degree >= min_degree - a into one element R_a;
+    the gamma sum adds L_a R_a / gamma!: one product per gamma and left
+    degree, besides the table's.  Only monomials with a partner at or
+    above the cut are evaluated.  Agreement with the evaluated symbolic
+    product cross-checks the polynomial multiplication against the
+    convolution it represents.
     """
-    theta = asg.theta
     products = []
     gamma_max = p.max_degree() + q.max_degree() - min_degree
     for order in range(gamma_max + 1):
@@ -406,10 +404,9 @@ def gamma_sum_evaluation(
             dp, dq = _gamma_derivatives(p, q, gamma)
             if not dp.terms or not dq.terms:
                 continue
-            left = _evaluated_terms(asg, dp, min_degree - dq.max_degree(), xi)
-            right = _evaluated_terms(asg, dq, min_degree - dp.max_degree(), xi)
-            for a in sorted({deg for deg, _ in left}):
-                left_a = _combine(theta, [t for deg, t in left if deg == a])
-                right_a = _combine(theta, [t for deg, t in right if deg >= min_degree - a])
-                products.append((left_a * right_a, 1.0 / _gamma_factorial(gamma)))
-    return _combine(theta, products)
+            reach = min_degree - dq.max_degree()
+            for a in sorted({m.degree for m in dp.terms if m.degree >= reach}):
+                left = asg._table_sum(_word_sums(dp.homogeneous_part(a), xi))
+                right = asg._table_sum(_word_sums(dq.truncate_below(min_degree - a), xi))
+                products.append((left * right, 1.0 / _gamma_factorial(gamma)))
+    return _combine(asg.theta, products)

@@ -26,6 +26,7 @@ with pointwise products only.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .ncalg import Algebra, Frozen, Letter, NCPoly, Record
 from .symcalc import (
@@ -33,6 +34,7 @@ from .symcalc import (
     XiMonomial,
     _gamma_derivatives,
     _gamma_factorial,
+    _sum_pairs,
     compose,
     multi_indices,
     symbol_product,
@@ -173,20 +175,25 @@ def closed_forms(spec: OperatorSpec, n: int) -> list[Symbol]:
         b_m = -( sum (1/gamma!) d_xi^gamma b_j . delta^gamma a_k ) . b_0
 
     over j < m, k = 0..2 and |gamma| = m - j - 2 + k, with a_k the degree-k
-    part of the symbol.  Products are pointwise, so no ``compose`` is used.
+    part of the symbol.  Every monomial pair of d_xi^gamma b_j and
+    delta^gamma a_k, weighted by -1/gamma!, goes into one sum, which is
+    then multiplied by b_0.  Each gamma is derived from scratch and the
+    products are pointwise, so no ``compose`` or ``gamma_pairs`` is used.
     """
     a = laplace_symbol(spec)
     parts = [a.homogeneous_part(k) for k in range(3)]
     b0 = invert_leading(a)
     bs = [b0]
     for m in range(1, n + 1):
-        acc = Symbol.zero(spec.d)
+        pairs = []
         for j, b in enumerate(bs):
             for k in range(max(0, j + 2 - m), 3):
                 for gamma in multi_indices(spec.d, m - j - 2 + k):
                     dp, dq = _gamma_derivatives(b, parts[k], gamma)
-                    acc = acc + dp.pointwise_mul(dq).scale(Fraction(1, _gamma_factorial(gamma)))
-        bs.append(-(acc.pointwise_mul(b0)))
+                    c = Fraction(-1, _gamma_factorial(gamma))
+                    for (m1, c1), (m2, c2) in product(dp.terms.items(), dq.terms.items()):
+                        pairs.append((c, m1, c1, m2, c2))
+        bs.append(_sum_pairs(spec.d, pairs).pointwise_mul(b0))
     return bs
 
 

@@ -309,7 +309,7 @@ def format_symbol(s: Symbol) -> str:
         body = format_xi_monomial(mono)
         if coef == "1":
             lines.append(body)
-        elif "+" in coef or coef.count(" - ") > 0:
+        elif len(s.terms[mono].terms) > 1:
             lines.append(f"( {coef} ) * {body}")
         else:
             lines.append(f"{coef} * {body}")

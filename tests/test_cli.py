@@ -74,6 +74,14 @@ def test_classical_verdict_only_for_the_plain_operator(capsys, flags):
     assert "classical_match" not in json.loads(out)
 
 
+@pytest.mark.parametrize("d, power", [("4", "1"), ("6", "2")])
+def test_classical_verdict_in_json(capsys, d, power):
+    argv = ("wres", "--d", d, "--power", power, "--mode", "commutative", "--no-torsion")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["classical_match"] is True
+
+
 def test_wres_json_round_trips(capsys):
     code, out, _ = run(capsys, "wres", "--d", "4", "--power", "2", "--format", "json")
     assert code == 0
@@ -460,6 +468,17 @@ def _repeat_t1_index(obj):
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],
             _edited_assignment(lambda obj: obj.update(tol=0.0)),
             id="assignment-zero-tol",
+        ),
+        # below float64 epsilon h h^-1 cannot meet its certified tail
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.update(tol=1e-30)),
+            id="assignment-tol-below-epsilon",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.update(tol=1e-300)),
+            id="assignment-tol-far-below-epsilon",
         ),
         pytest.param(
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],

@@ -604,3 +604,16 @@ def test_cancelled_word_and_constant_word_make_no_product(monkeypatch):
     got = asg.evaluate_symbol(s, (2.0, 2.0))
     assert counts == [0, 0]
     assert got.coeffs == {(0, 0): 6.0}
+
+
+def test_a_lone_word_of_a_symbol_is_read_from_the_table(monkeypatch):
+    asg = random_assignment(2, 0)
+    alg = Algebra(2)
+    hxh = alg.h() * alg.x() * alg.h()
+    counts = counting_mode_pairs(monkeypatch)
+    got = asg.evaluate_symbol(Symbol.from_poly(hxh, alpha=(1, 0)), (2.0, 3.0))
+    # prefix times last letter: h X, then (h X) h, both left in the table
+    assert counts[0] == 2
+    want = asg.evaluate_poly(hxh)
+    assert counts[0] == 2
+    assert (got - want.scale(2.0)).norm1() < 1e-12
