@@ -35,6 +35,7 @@ from .symcalc import (
     _gamma_derivatives,
     _gamma_factorial,
     _sum_pairs,
+    _unit,
     compose,
     multi_indices,
     symbol_product,
@@ -71,16 +72,18 @@ def laplace_symbol(spec: OperatorSpec) -> Symbol:
     else:
         p = alg.h_power(-(d // 2))
         q = alg.h_power(d - 2)
-    terms = {XiMonomial(zero, 1): p * q * p}
+    pq = p * q
+    terms = {XiMonomial(zero, 1): pq * p}
     phi = alg.zero()
     for a in range(1, d + 1):
-        y = p * q * p.derive(a) * 2 + p * q.derive(a) * p
+        dp = p.derive(a)
+        pdq = p * q.derive(a)
+        y = pq * dp * 2 + pdq * p
         if spec.include_t:
             y = y + alg.t(a)
         if not y.is_zero():
-            e_a = tuple(1 if i == a - 1 else 0 for i in range(d))
-            terms[XiMonomial(e_a, 0)] = y
-        phi = phi + p * q.derive(a) * p.derive(a) + p * q * p.derive(a).derive(a)
+            terms[XiMonomial(_unit(d, a), 0)] = y
+        phi = phi + pdq * dp + pq * dp.derive(a)
         if spec.include_t:
             phi = phi + alg.t(a).derive(a).scale(Fraction(1, 2))
     if spec.include_x:

@@ -532,6 +532,16 @@ def _repeat_t1_index(obj):
         ),
         pytest.param(
             ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.update(theta="x")),
+            id="assignment-theta-string",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
+            _edited_assignment(lambda obj: obj.update(theta=[0.0, 1.0])),
+            id="assignment-theta-flat-list",
+        ),
+        pytest.param(
+            ["oracle-check", "--oracle-assignment", ASSIGNMENT],
             _edited_assignment(lambda obj: obj["atoms"]["T1"].update(coeffs={})),
             id="assignment-coeffs-not-list",
         ),

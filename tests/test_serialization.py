@@ -232,6 +232,9 @@ def _assert_parsers_refuse(letter, d):
         ("1", [True, 0], 0),
         ("2", [0, 0], True),
         ("0", [0], 0),
+        # well formed, but filed under another degree than |alpha| + 2m
+        ("0", [1, 0], 0),
+        ("0", [0, 0], 1),
     ],
 )
 def test_symbol_parser_checks_the_monomial_shape(key, alpha, m):
@@ -242,6 +245,32 @@ def test_symbol_parser_checks_the_monomial_shape(key, alpha, m):
     # the same term with plain ints parses
     symbol["components"] = {"0": [{"coef": poly, "alpha": [0, 0], "m": 0}]}
     assert symbol_from_json(symbol, 2) == Symbol.one(2)
+
+
+@pytest.mark.parametrize("marker", [{}, {"trace": False}])
+def test_trace_expression_parser_requires_the_trace_marker(marker):
+    term = {"coef": {"num": 1, "den": 1, "pi": 0}, "word": [{"base": "H", "deriv": [0, 0]}]}
+    with pytest.raises(ValueError, match="trace marker"):
+        trace_expression_from_json({"terms": [{**term, **marker}]}, 2)
+
+
+def test_parsers_drop_a_zero_coefficient():
+    # a zero term adds nothing and leaves no zero entry behind
+    alg = Algebra(2)
+    zero, one = {"num": 0, "den": 3, "pi": 0}, {"num": 1, "den": 1, "pi": 0}
+    h, x = [{"base": "H", "deriv": [0, 0]}], [{"base": "X", "deriv": [0, 0]}]
+    poly = {"terms": [{"coef": zero, "word": h}, {"coef": one, "word": x}]}
+    assert poly_from_json(poly, 2).terms == alg.x().terms
+    expr = {"terms": [{**term, "trace": True} for term in poly["terms"]]}
+    assert trace_expression_from_json(expr, 2).terms == trace(alg.x()).terms
+    dead = {"terms": [{"coef": zero, "word": x}]}
+    symbol = {
+        "components": {
+            "0": [{"coef": poly, "alpha": [0, 0], "m": 0}],
+            "1": [{"coef": dead, "alpha": [1, 0], "m": 0}],
+        }
+    }
+    assert symbol_from_json(symbol, 2).terms == Symbol.from_poly(alg.x()).terms
 
 
 def test_assignment_round_trip():

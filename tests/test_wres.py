@@ -474,6 +474,20 @@ def test_eh_d6_residue_is_pinned(torsion):
     assert _pin(reduced) == EH_D6[torsion]
 
 
+# sha256 and term count of the commutative ibp_reduce form of Wres(Delta^-power)
+COMMUTATIVE = {
+    (6, 2, False): ("fd47bb56915d05e4d7da310d07ae3edb51b771a9cbc2edc1d2508be78fadaa80", 6),
+    (6, 2, True): ("d8e4da6360382bc17e61db35584bb4a6c202da445aea32ccb12ab6601d18bd83", 12),
+    (4, 1, True): ("2aaf9878f819e9300eea2b22164578ba20ba290fb443daf6f52c6441dd17504a", 8),
+}
+
+
+@pytest.mark.parametrize("d, power, torsion", list(COMMUTATIVE))
+def test_commutative_residue_is_pinned(d, power, torsion):
+    raw = wres_inverse_power(OperatorSpec(d=d, include_t=torsion), power)
+    assert _pin(ibp_reduce(raw, commutative=True)) == COMMUTATIVE[d, power, torsion]
+
+
 def test_d6_inverse_residue_is_pinned():
     # Wres(Delta^-1) at d=6 without torsion forms b_0..b_3 and takes b_4
     # through its tail; pinned raw and in its ibp_reduce form
