@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .ncalg import Algebra
+from .ncalg import Algebra, Scalar
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_terms
 from .trace import format_trace_expression, ibp_reduce, trace, trace_equal
 from .wres import sphere_integral, wres_inverse_power
@@ -126,7 +126,8 @@ def _classical_residue(d: int):
     for a in range(1, d + 1):
         dh = alg.h().derive(a)
         out = out + trace(alg.h_power(d - 4) * dh * dh)
-    return out.scale(sphere_integral((0,) * d) * Fraction(-((d - 2) ** 2) * (d - 1), 12))
+    vol = sphere_integral((0,) * d)
+    return out.scale(Scalar(vol * Fraction(-((d - 2) ** 2) * (d - 1), 12), d // 2))
 
 
 def cmd_wres(args) -> int:

@@ -26,8 +26,9 @@ letter or replaces h^-1 by h^-1 d(h) h^-1).  Results built inside the
 class therefore skip both the re-normalization and the re-filter.
 
 Coefficients are plain ``Fraction``s: nothing in the algebra involves pi.
-``Scalar``, a rational times an integer power of pi, is the coefficient
-type of trace expressions, where the sphere moments bring pi in.
+``Scalar``, a rational times an integer power of pi, is what a
+``TraceExpression`` stores per term; a residue gets its pi^(d/2) there,
+from ``wres._traced``, while the sphere moments stay rationals.
 
 ``Combination`` is the one additive core: ``NCPoly`` here, ``Symbol`` and
 ``TraceExpression`` elsewhere are finite sums of keys with nonzero
@@ -126,9 +127,6 @@ class Scalar(Frozen):
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.q, self.pi)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
 
     def __mul__(self, other: "Scalar | int | Fraction") -> "Scalar":
         if isinstance(other, Scalar):
@@ -472,10 +470,6 @@ class NCPoly(Combination):
             out = WordSum()
             out.add_product(self, other)
             return NCPoly._trusted(self.d, out.terms())
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "NCPoly":
-        # scalars commute with everything, so left and right scaling agree
         return self.scale(other)
 
     def scale(self, c: int | Fraction) -> "NCPoly":

@@ -10,7 +10,9 @@ times the moment
 
 which vanishes when any exponent is odd and is an exact rational multiple
 of pi^(d/2) when all are even (half-integer Gamma values pair up with the
-even dimension).  No 2pi normalization is applied.
+even dimension).  A moment is stored and returned as that rational alone,
+a ``Fraction``; pi^(d/2) enters a computed residue in one place,
+``_traced``.  No 2pi normalization is applied.
 
 Every residue is that of a product F_1 # ... # F_k, and one function,
 ``_residue_coefficient``, reads it; one factor is read as F_1 # 1.  The
@@ -19,8 +21,8 @@ cut below at -d minus the top degrees of the factors still to come, the
 lowest degree that can still reach -d.  The last product is never
 formed.  The reader visits its monomial pairs from
 ``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if the
-table gives its summed alpha a nonzero moment, a rational times
-pi^(d/2), and sums every pair into one ``ncalg.WordSum``, exact integer
+table gives its summed alpha a nonzero moment, weights it by that
+rational, and sums every pair into one ``ncalg.WordSum``, exact integer
 numerators over one denominator.  The sum reads each coefficient through
 the integer form the ``NCPoly`` keeps on itself, so that form goes with
 the coefficient once the walk of ``gamma_pairs`` leaves it behind.  The
@@ -48,42 +50,42 @@ from .symcalc import Symbol, XiMonomial, compose, gamma_pairs
 from .trace import TraceExpression, trace, trace_equal
 
 
-def sphere_integral(alpha: tuple[int, ...]) -> Scalar:
-    """Moment of xi^alpha over the unit sphere in len(alpha) dimensions."""
+def sphere_integral(alpha: tuple[int, ...]) -> Fraction:
+    """Moment of xi^alpha over the unit sphere in len(alpha) dimensions,
+    as the rational that multiplies pi^(len(alpha)/2)."""
     d = len(alpha)
     if d < 2 or d % 2:
         raise ValueError("dimension must be even and at least 2")
     if any(a < 0 for a in alpha):
         raise ValueError("exponents must be nonnegative")
     if any(a % 2 for a in alpha):
-        return Scalar(Fraction(0))
+        return Fraction(0)
     num = Fraction(2)
     for a in alpha:
         k = a // 2
         num *= Fraction(factorial(2 * k), 4 ** k * factorial(k))
     half = (sum(alpha) + d) // 2
-    return Scalar(num / factorial(half - 1), pi=d // 2)
+    return num / factorial(half - 1)
 
 
 class SphereIntegralTable:
     """Moment cache with an override hook for fault injection.
 
     Overriding a moment lets the self-check pipeline demonstrate that a
-    wrong constant is actually caught by the cross-validations.  An
-    override writes into the cache, so every reader sees it; a nonzero
-    one must keep the pi^(d/2) that lets the residue sum moments as rationals.
+    wrong constant is actually caught by the cross-validations.  Every
+    moment, computed or overridden, is the rational of pi^(d/2), so an
+    override takes a rational (a ``Scalar`` raises ``TypeError``) and
+    writes it into the cache, where every reader sees it.
     """
 
     def __init__(self, d: int):
         self.d = d
-        self._moments: dict[tuple[int, ...], Scalar] = {}
+        self._moments: dict[tuple[int, ...], Fraction] = {}
 
-    def override(self, alpha: tuple[int, ...], value: Scalar):
-        if value and value.pi != self.d // 2:
-            raise ValueError(f"moments in d={self.d} are rationals times pi^{self.d // 2}")
-        self._moments[tuple(alpha)] = value
+    def override(self, alpha: tuple[int, ...], value: Fraction | int):
+        self._moments[tuple(alpha)] = Fraction(value)
 
-    def get(self, alpha: tuple[int, ...]) -> Scalar:
+    def get(self, alpha: tuple[int, ...]) -> Fraction:
         alpha = tuple(alpha)
         if len(alpha) != self.d:
             raise ValueError("exponent tuple has wrong length")
@@ -110,9 +112,9 @@ def _residue_coefficient(
     nonzero.  The last product, (F_1 # ... # F_(k-1)) # F_k, is never
     formed: every pair of it with a nonzero moment in the table
     (overrides included) goes into one ``WordSum``, weighted by 1/gamma!
-    times that moment's rational.  The pair loop multiplies integers
-    only; the sum's ``Fraction``s are formed once and multiplied by the
-    tail's coefficient.
+    times that moment.  The pair loop multiplies integers only; the
+    sum's ``Fraction``s are formed once and multiplied by the tail's
+    coefficient.
     """
     d = factors[0].d
     table = SphereIntegralTable(d) if table is None else table
@@ -130,13 +132,14 @@ def _residue_coefficient(
     for inv, m1, c1, m2, c2 in gamma_pairs(s, rest[0], band, band):
         m = moment(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
         if m:
-            words.add_product(c1, c2, inv * m.q)
+            words.add_product(c1, c2, inv * m)
     coef = NCPoly._trusted(d, words.terms())
     return coef if right is None else coef * right
 
 
 def _traced(coef: NCPoly) -> TraceExpression:
-    """The residue whose rational coefficient is ``coef``."""
+    """The residue whose rational coefficient is ``coef``: the one place
+    where a computed residue gets its pi^(d/2)."""
     return trace(coef).scale(Scalar(1, coef.d // 2))
 
 
@@ -214,8 +217,9 @@ def trace_property_probe(
 
 def sphere_derivative_dichotomy(
     i: int, j: int, rho: int, d: int, table: SphereIntegralTable | None = None
-) -> Scalar:
-    """Sphere integral of d/dxi_i ( xi_j |xi|^(rho-1) ).
+) -> Fraction:
+    """Sphere integral of d/dxi_i ( xi_j |xi|^(rho-1) ), as the rational
+    of pi^(d/2).
 
     Evaluates to delta_ij * Vol(S^(d-1)) * (1 + (rho-1)/d): zero exactly
     at the residue-critical homogeneity rho = 1-d and nonzero at every
@@ -228,9 +232,7 @@ def sphere_derivative_dichotomy(
         table = SphereIntegralTable(d)
     alpha = tuple(1 if k == j - 1 else 0 for k in range(d))
     f = Symbol(d, {XiMonomial(alpha, (rho - 1) // 2): NCPoly.one(d)})
-    out = Scalar(Fraction(0))
+    out = Fraction(0)
     for mono, coef in f.partial_xi(i).terms.items():
-        moment = table.get(mono.alpha)
-        if moment:
-            out = out + moment * coef.terms[()]
+        out += table.get(mono.alpha) * coef.terms[()]
     return out

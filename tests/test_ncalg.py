@@ -51,6 +51,17 @@ def test_scalar_mul_div_track_pi():
     assert a * Fraction(2, 3) == Fraction(2, 3) * a == Scalar(Fraction(1, 2), pi=2)
 
 
+def test_axes_and_dimension_are_checked():
+    for axis in (0, D + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            ALG.h().derive(axis)
+        with pytest.raises(ValueError, match="out of range"):
+            ALG.t(axis)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            Algebra(d)
+
+
 def test_letter_validation():
     with pytest.raises(ValueError):
         Letter("T", (0, 0))  # T needs an axis

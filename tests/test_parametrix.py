@@ -96,6 +96,21 @@ def test_invert_leading_rejects_spread_leading_term():
         invert_leading(s)
 
 
+@pytest.mark.parametrize(
+    "coef, message",
+    [
+        (ALG.h() + ALG.hinv(), "not a monomial"),
+        (ALG.h() * ALG.t(1), "not a power of h"),
+        (ALG.h().derive(1), "not a power of h"),
+    ],
+    ids=["two-words", "torsion-letter", "derived-h"],
+)
+def test_invert_leading_rejects_a_coefficient_it_cannot_invert(coef, message):
+    s = Symbol(D, {XiMonomial(unit(), 1): coef})
+    with pytest.raises(ValueError, match=message):
+        invert_leading(s)
+
+
 def frozen_b1():
     terms = {}
     for k in range(1, D + 1):

@@ -171,6 +171,16 @@ def test_rejects_wrong_length():
         Symbol(D, {XiMonomial((1,), 0): ALG.one()})
 
 
+def test_zero_symbol_has_no_degree_and_composes_to_zero():
+    zero = Symbol.zero(D)
+    with pytest.raises(ValueError, match="no degree"):
+        zero.max_degree()
+    s = Symbol(D, {xi_mono((1, 0)): ALG.h()})
+    for p, q in [(zero, s), (s, zero), (zero, zero)]:
+        assert list(gamma_pairs(p, q, -4)) == []
+        assert compose(p, q, -4) == zero
+
+
 # -- hypothesis ------------------------------------------------------------
 
 monos = st.builds(

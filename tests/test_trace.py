@@ -143,6 +143,12 @@ def test_trace_equal_ibp_zeros_across_pi_powers():
     assert trace_equal(z.scale(Scalar(Fraction(1), pi=1)), z.scale(Scalar(Fraction(3), pi=2)))
 
 
+def test_trace_equal_across_dimensions_is_false():
+    # even two zero expressions differ when their dimensions do
+    assert not trace_equal(trace(ALG.h()), trace(Algebra(4).h()))
+    assert not trace_equal(TraceExpression.zero(D), TraceExpression.zero(4))
+
+
 def test_commutative_equality_only():
     a = trace(
         NCPoly.from_word(D, (T1, H, DH, X))

@@ -16,7 +16,7 @@ from ncwres.parametrix import (
 from ncwres.randgen import random_probe_pair, random_symbol
 from ncwres.symcalc import Symbol, XiMonomial, compose, symbol_product
 from ncwres.trace import ibp_reduce, trace, trace_equal
-from ncwres.verify import poisoned_table
+from ncwres.verify import _dichotomy, _moment_partition, poisoned_table
 from ncwres.wres import (
     SphereIntegralTable,
     sphere_derivative_dichotomy,
@@ -45,24 +45,52 @@ def unit(*axes):
     return tuple(alpha)
 
 
+def _is_rational(got, want):
+    return type(got) is Fraction and got == want
+
+
 def test_sphere_moments_low_degree():
-    assert sphere_integral((0, 0, 0, 0)) == PI2(2)
-    assert sphere_integral((2, 0, 0, 0)) == PI2(Fraction(1, 2))
-    assert sphere_integral((4, 0, 0, 0)) == PI2(Fraction(1, 4))
-    assert sphere_integral((2, 2, 0, 0)) == PI2(Fraction(1, 12))
-    assert sphere_integral((1, 0, 0, 0)) == Scalar(Fraction(0))
-    assert sphere_integral((1, 1, 2, 0)) == Scalar(Fraction(0))
+    # the rationals of pi^2
+    assert _is_rational(sphere_integral((0, 0, 0, 0)), 2)
+    assert _is_rational(sphere_integral((2, 0, 0, 0)), Fraction(1, 2))
+    assert _is_rational(sphere_integral((4, 0, 0, 0)), Fraction(1, 4))
+    assert _is_rational(sphere_integral((2, 2, 0, 0)), Fraction(1, 12))
+    assert _is_rational(sphere_integral((1, 0, 0, 0)), 0)
+    assert _is_rational(sphere_integral((1, 1, 2, 0)), 0)
 
 
 def test_sphere_moments_two_dimensions():
-    assert sphere_integral((0, 0)) == Scalar(Fraction(2), pi=1)
-    assert sphere_integral((2, 0)) == Scalar(Fraction(1), pi=1)
+    # the rationals of pi
+    assert _is_rational(sphere_integral((0, 0)), 2)
+    assert _is_rational(sphere_integral((2, 0)), 1)
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        ((0, 0, 0), "even"),
+        ((0,), "even"),
+        ((), "even"),
+        ((2, -2, 0, 0), "nonnegative"),
+    ],
+    ids=["odd", "one", "empty", "negative"],
+)
+def test_sphere_integral_rejects_bad_exponents(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        sphere_integral(alpha)
+
+
+def test_table_rejects_a_wrong_length_alpha():
+    table = SphereIntegralTable(D)
+    for alpha in [(0, 0), (0,) * (D + 1)]:
+        with pytest.raises(ValueError, match="wrong length"):
+            table.get(alpha)
 
 
 def test_sphere_moment_partition_identity():
     # sum_a xi_a^2 = 1 on the sphere
     for alpha in [(0, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)]:
-        total = Scalar(Fraction(0))
+        total = Fraction(0)
         for a in range(D):
             bumped = tuple(x + 2 * (i == a) for i, x in enumerate(alpha))
             total = total + sphere_integral(bumped)
@@ -70,31 +98,35 @@ def test_sphere_moment_partition_identity():
 
 
 def test_dichotomy_values():
-    assert sphere_derivative_dichotomy(1, 1, -3, 4) == Scalar(Fraction(0))
-    assert sphere_derivative_dichotomy(1, 1, 3, 4) == PI2(3)
-    assert sphere_derivative_dichotomy(1, 1, -5, 4) == PI2(-1)
-    assert sphere_derivative_dichotomy(1, 1, -1, 4) == PI2(1)
-    assert sphere_derivative_dichotomy(1, 2, 3, 4) == Scalar(Fraction(0))
+    # the rationals of pi^2
+    assert _is_rational(sphere_derivative_dichotomy(1, 1, -3, 4), 0)
+    assert _is_rational(sphere_derivative_dichotomy(1, 1, 3, 4), 3)
+    assert _is_rational(sphere_derivative_dichotomy(1, 1, -5, 4), -1)
+    assert _is_rational(sphere_derivative_dichotomy(1, 1, -1, 4), 1)
+    assert _is_rational(sphere_derivative_dichotomy(1, 2, 3, 4), 0)
     with pytest.raises(ValueError):
         sphere_derivative_dichotomy(1, 1, 2, 4)
 
 
 def test_table_override_changes_result():
     table = SphereIntegralTable(D)
-    table.override((0, 0, 0, 0), PI2(3))
+    table.override((0, 0, 0, 0), Fraction(3))
     s = Symbol(D, {XiMonomial(unit(), -2): ALG.h()})
     assert wodzicki_residue(s) == trace(ALG.h()).scale(PI2(2))
     assert wodzicki_residue(s, table) == trace(ALG.h()).scale(PI2(3))
 
 
 def test_table_override_keeps_the_pi_power():
+    # an override is the rational of pi^(d/2), so a Scalar, which could
+    # carry another power of pi, is refused
     table = SphereIntegralTable(D)
-    with pytest.raises(ValueError):
-        table.override((0, 0, 0, 0), Scalar(Fraction(1), pi=1))
-    table.override((2, 0, 0, 0), Scalar(Fraction(0), pi=1))
-    table.override((0, 0, 0, 0), PI2(3))
-    assert not table.get((2, 0, 0, 0))
-    assert table.get((0, 0, 0, 0)) == PI2(3)
+    for value in [Scalar(Fraction(1), pi=1), PI2(3), Scalar(Fraction(0))]:
+        with pytest.raises(TypeError):
+            table.override((0, 0, 0, 0), value)
+    table.override((2, 0, 0, 0), 0)
+    table.override((0, 0, 0, 0), 3)
+    assert _is_rational(table.get((2, 0, 0, 0)), 0)
+    assert _is_rational(table.get((0, 0, 0, 0)), 3)
 
 
 def test_residue_ignores_other_degrees():
@@ -186,7 +218,7 @@ def test_probe_detects_corrupted_moments():
     p = Symbol(D, {XiMonomial(unit(1), 0): ALG.h()})
     q = Symbol(D, {XiMonomial(unit(), -2): ALG.t(2)})
     table = SphereIntegralTable(D)
-    table.override((2, 0, 0, 0), PI2(1))
+    table.override((2, 0, 0, 0), Fraction(1))
     _, _, ok = trace_property_probe(p, q, table)
     assert not ok
 
@@ -298,7 +330,7 @@ def test_volume_residue(d, torsion):
     # Wres(Delta^(-d/2)) = Vol(S^(d-1)) t[h^d], exactly and before any reduction
     got = wres_inverse_power(OperatorSpec(d=d, include_t=torsion), d // 2)
     vol = sphere_integral((0,) * d)
-    assert got == trace(Algebra(d).h_power(d)).scale(vol)
+    assert got == trace(Algebra(d).h_power(d)).scale(Scalar(vol, d // 2))
 
 
 # -- the fused residue pass ------------------------------------------------
@@ -343,8 +375,19 @@ def test_fused_residue_is_exact(d, power, torsion, potential):
 def _odd_moment_table(d):
     # a nonzero moment on an odd alpha that the degree -d parts do contain
     table = SphereIntegralTable(d)
-    table.override((1, 1) + (0,) * (d - 2), Scalar(Fraction(1, 3), pi=d // 2))
+    table.override((1, 1) + (0,) * (d - 2), Fraction(1, 3))
     return table
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_poisoned_table_fails_both_moment_checks(d):
+    # called directly: run_verification at d = 6 forms b_4
+    alpha = (2,) + (0,) * (d - 1)
+    poisoned = poisoned_table(d)
+    assert poisoned.get(alpha) == 2 * sphere_integral(alpha)
+    for check in (_moment_partition, _dichotomy):
+        assert check(d, SphereIntegralTable(d))["passed"]
+        assert not check(d, poisoned)["passed"]
 
 
 @pytest.mark.parametrize("make_table", [_odd_moment_table, poisoned_table])
@@ -397,7 +440,7 @@ def test_volume_reads_b0_alone(monkeypatch, n):
     monkeypatch.setattr(wres, "parametrix_series", recording)
     got = wres_inverse_power(spec, 3, n=n)
     assert depths == [0]
-    assert got == trace(Algebra(6).h_power(6)).scale(sphere_integral((0,) * 6))
+    assert got == trace(Algebra(6).h_power(6)).scale(Scalar(sphere_integral((0,) * 6), 3))
 
 
 @pytest.mark.parametrize("torsion", [False, True])
