@@ -52,7 +52,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .ncalg import Letter, NCPoly, Record, format_letter
-from .symcalc import Symbol, _gamma_derivatives, _gamma_factorial, multi_indices
+from .symcalc import Symbol, gamma_terms
 from .trace import TraceExpression
 
 # entries this far below a certification tolerance cannot add up to harm it
@@ -230,11 +230,6 @@ class FourierElement:
 class NeumannResult(Record):
     __slots__ = ("element", "tail_bound", "terms")
 
-    def __init__(self, element: FourierElement, tail_bound: float, terms: int):
-        self.element = element
-        self.tail_bound = tail_bound
-        self.terms = terms
-
 
 def nc_invert_neumann(x: FourierElement, tol: float = 1e-12) -> NeumannResult:
     """Inverse via the Neumann series around the zero mode.
@@ -388,7 +383,8 @@ def gamma_sum_evaluation(
     side is evaluated to concrete elements first and the sides are
     combined by twisted convolution; only monomial pairs at or above
     min_degree contribute, mirroring the symbolic truncation.  For each
-    gamma, the monomials of d_xi^gamma P of degree a collapse at xi into
+    gamma, derived from scratch by ``symcalc.gamma_terms``, the
+    monomials of d_xi^gamma P of degree a collapse at xi into
     one word sum, read from the word table as one element L_a, and those
     of delta^gamma Q of degree >= min_degree - a into one element R_a;
     the gamma sum adds L_a R_a / gamma!: one product per gamma and left
@@ -399,14 +395,12 @@ def gamma_sum_evaluation(
     """
     products = []
     gamma_max = p.max_degree() + q.max_degree() - min_degree
-    for order in range(gamma_max + 1):
-        for gamma in multi_indices(p.d, order):
-            dp, dq = _gamma_derivatives(p, q, gamma)
-            if not dp.terms or not dq.terms:
-                continue
-            reach = min_degree - dq.max_degree()
-            for a in sorted({m.degree for m in dp.terms if m.degree >= reach}):
-                left = asg._table_sum(_word_sums(dp.homogeneous_part(a), xi))
-                right = asg._table_sum(_word_sums(dq.truncate_below(min_degree - a), xi))
-                products.append((left * right, 1.0 / _gamma_factorial(gamma)))
+    for inv, dp, dq in gamma_terms(p, q, range(gamma_max + 1)):
+        if not dp.terms or not dq.terms:
+            continue
+        reach = min_degree - dq.max_degree()
+        for a in sorted({m.degree for m in dp.terms if m.degree >= reach}):
+            left = asg._table_sum(_word_sums(dp.homogeneous_part(a), xi))
+            right = asg._table_sum(_word_sums(dq.truncate_below(min_degree - a), xi))
+            products.append((left * right, float(inv)))
     return _combine(asg.theta, products)

@@ -32,13 +32,15 @@ from ``wres._traced``, while the sphere moments stay rationals.
 
 ``Combination`` is the one additive core: ``NCPoly`` here, ``Symbol`` and
 ``TraceExpression`` elsewhere are finite sums of keys with nonzero
-coefficients, and share zero, equality, sum, negation and scaling.
+coefficients, and share the constructor that drops zero coefficients,
+zero, equality, sum, negation and scaling.
 ``_accumulate`` is the one sparse merge all three build their results with.
 
 ``Record`` and ``Frozen`` give the package's small value classes
 (``Scalar`` here, ``XiMonomial``, ``OperatorSpec`` and the result records
-elsewhere) the repr, equality, hashing and pickling of their slotted
-fields, written once here rather than generated per class at start-up.
+elsewhere) the constructor, repr, equality, hashing and pickling of their
+slotted fields, written once here rather than generated per class at
+start-up.
 
 ``WordSum`` is the one kernel that multiplies polynomials: ``NCPoly``
 products, every symbol product and the residue pass build through it.
@@ -60,12 +62,21 @@ KIND_RANK = {"H": 0, "Hinv": 1, "T": 2, "X": 3}
 
 
 class Record:
-    """Small slotted value class: repr, equality and pickling follow its
-    ``__slots__`` fields in order, which are also the constructor's
-    positional arguments.  Records are unhashable unless frozen."""
+    """Small slotted value class: the constructor fills its ``__slots__``
+    fields in order from its positional arguments, one per field, and
+    repr, equality and pickling follow the same fields.  A subclass that
+    validates its arguments calls this constructor with the checked
+    values.  Records are unhashable unless frozen."""
 
     __slots__ = ()
     __hash__ = None
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, not {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -84,8 +95,8 @@ class Record:
 
 
 class Frozen(Record):
-    """Immutable ``Record``, hashed by value.  Constructors set the fields
-    through ``object.__setattr__``; any later assignment raises."""
+    """Immutable ``Record``, hashed by value.  The base constructor fills
+    the fields; any later assignment raises."""
 
     __slots__ = ()
 
@@ -110,8 +121,8 @@ class Scalar(Frozen):
         # canonical zero: 0 * pi^k == 0 * pi^0
         if q == 0 and pi != 0:
             pi = 0
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "pi", pi)
+        # the base named directly: super() costs more, once per term
+        Frozen.__init__(self, q, pi)
 
     def __bool__(self) -> bool:
         return self.q != 0
@@ -358,13 +369,18 @@ class Combination:
     """Finite sum: ``terms`` maps distinct keys to nonzero coefficients.
 
     The one additive core of ``NCPoly``, ``Symbol`` and
-    ``TraceExpression``.  Each subclass keeps its own validating
-    constructor; results built here from valid operands go through
-    ``_trusted`` and skip those checks.
+    ``TraceExpression``.  The constructor keeps the nonzero coefficients
+    of ``terms``; a subclass that checks or normalizes its keys wraps it.
+    Results built here from valid operands go through ``_trusted`` and
+    skip those checks.
     """
 
     __slots__ = ("d", "terms")
     __hash__ = None
+
+    def __init__(self, d: int, terms: dict | None = None):
+        self.d = d
+        self.terms = {key: value for key, value in terms.items() if value} if terms else {}
 
     @classmethod
     def _trusted(cls, d: int, terms: dict):

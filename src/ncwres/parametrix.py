@@ -32,12 +32,10 @@ from .ncalg import Algebra, Frozen, Letter, NCPoly, Record
 from .symcalc import (
     Symbol,
     XiMonomial,
-    _gamma_derivatives,
-    _gamma_factorial,
     _sum_pairs,
     _unit,
     compose,
-    multi_indices,
+    gamma_terms,
     symbol_product,
 )
 
@@ -58,8 +56,7 @@ class OperatorSpec(Frozen):
                 raise ValueError(f"{name} must be true or false")
         if d < 2 or d % 2:
             raise ValueError("dimension must be even and at least 2")
-        for name, value in zip(self.__slots__, (d, include_t, include_x, flat)):
-            object.__setattr__(self, name, value)
+        super().__init__(d, include_t, include_x, flat)
 
 
 def laplace_symbol(spec: OperatorSpec) -> Symbol:
@@ -120,10 +117,6 @@ def invert_leading(a: Symbol) -> Symbol:
 class ParametrixResult(Record):
     __slots__ = ("terms", "defect")
 
-    def __init__(self, terms: list[Symbol], defect: Symbol):
-        self.terms = terms
-        self.defect = defect
-
     def total(self) -> Symbol:
         return sum(self.terms, Symbol.zero(self.terms[0].d))
 
@@ -180,8 +173,9 @@ def closed_forms(spec: OperatorSpec, n: int) -> list[Symbol]:
     over j < m, k = 0..2 and |gamma| = m - j - 2 + k, with a_k the degree-k
     part of the symbol.  Every monomial pair of d_xi^gamma b_j and
     delta^gamma a_k, weighted by -1/gamma!, goes into one sum, which is
-    then multiplied by b_0.  Each gamma is derived from scratch and the
-    products are pointwise, so no ``compose`` or ``gamma_pairs`` is used.
+    then multiplied by b_0.  Each gamma is derived from scratch by
+    ``gamma_terms`` and the products are pointwise, so no ``compose`` or
+    ``gamma_pairs`` is used.
     """
     a = laplace_symbol(spec)
     parts = [a.homogeneous_part(k) for k in range(3)]
@@ -191,11 +185,9 @@ def closed_forms(spec: OperatorSpec, n: int) -> list[Symbol]:
         pairs = []
         for j, b in enumerate(bs):
             for k in range(max(0, j + 2 - m), 3):
-                for gamma in multi_indices(spec.d, m - j - 2 + k):
-                    dp, dq = _gamma_derivatives(b, parts[k], gamma)
-                    c = Fraction(-1, _gamma_factorial(gamma))
+                for inv, dp, dq in gamma_terms(b, parts[k], [m - j - 2 + k]):
                     for (m1, c1), (m2, c2) in product(dp.terms.items(), dq.terms.items()):
-                        pairs.append((c, m1, c1, m2, c2))
+                        pairs.append((-inv, m1, c1, m2, c2))
         bs.append(_sum_pairs(spec.d, pairs).pointwise_mul(b0))
     return bs
 

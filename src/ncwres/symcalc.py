@@ -29,7 +29,7 @@ single ``WordSum``.
 
 The reference routes, ``parametrix.closed_forms`` and the oracle's
 ``gamma_sum_evaluation``, share no walk with ``gamma_pairs``: each
-derives every gamma from scratch through one step, ``_gamma_derivatives``.
+derives every gamma from scratch through one walk, ``gamma_terms``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class XiMonomial(Frozen):
     def __init__(self, alpha: tuple[int, ...], m: int = 0):
         if any(a < 0 for a in alpha):
             raise ValueError("xi exponents must be nonnegative")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "m", m)
+        # the base named directly, as in Scalar: one call per product pair
+        Frozen.__init__(self, alpha, m)
 
     # written out rather than read through _fields: every pair of a
     # symbol product looks its monomial up in a dict
@@ -90,14 +90,9 @@ class Symbol(Combination):
     __slots__ = ()
 
     def __init__(self, d: int, terms: dict[XiMonomial, NCPoly] | None = None):
-        self.d = d
-        self.terms: dict[XiMonomial, NCPoly] = {}
-        if terms:
-            for mono, coef in terms.items():
-                if len(mono.alpha) != d:
-                    raise ValueError("xi exponent tuple has wrong length")
-                if not coef.is_zero():
-                    self.terms[mono] = coef
+        if terms and any(len(mono.alpha) != d for mono in terms):
+            raise ValueError("xi exponent tuple has wrong length")
+        super().__init__(d, terms)
 
     @classmethod
     def one(cls, d: int) -> "Symbol":
@@ -179,13 +174,19 @@ def _gamma_factorial(gamma: tuple[int, ...]) -> int:
     return prod(factorial(g) for g in gamma)
 
 
-def _gamma_derivatives(p: Symbol, q: Symbol, gamma: tuple[int, ...]) -> tuple[Symbol, Symbol]:
-    """(d_xi^gamma P, delta^gamma Q), each derived from scratch."""
-    for axis, reps in enumerate(gamma, start=1):
-        for _ in range(reps):
-            p = p.partial_xi(axis)
-            q = q.derive(axis)
-    return p, q
+def gamma_terms(p: Symbol, q: Symbol, orders):
+    """Yield (1/gamma!, d_xi^gamma P, delta^gamma Q) for every gamma whose
+    order is in ``orders``, order by order and in ``multi_indices`` order
+    within one, each derived from scratch: the walk of the reference
+    routes, which share nothing with ``gamma_pairs``."""
+    for order in orders:
+        for gamma in multi_indices(p.d, order):
+            dp, dq = p, q
+            for axis, reps in enumerate(gamma, start=1):
+                for _ in range(reps):
+                    dp = dp.partial_xi(axis)
+                    dq = dq.derive(axis)
+            yield Fraction(1, _gamma_factorial(gamma)), dp, dq
 
 
 def _sum_pairs(d: int, pairs) -> Symbol:

@@ -129,14 +129,6 @@ class TraceExpression(Combination):
 
     __slots__ = ()
 
-    def __init__(self, d: int, terms: dict[TraceWord, Scalar] | None = None):
-        self.d = d
-        self.terms: dict[TraceWord, Scalar] = {}
-        if terms:
-            for tw, sc in terms.items():
-                if sc:
-                    self.terms[tw] = sc
-
     def __repr__(self) -> str:
         return f"TraceExpression({self.d}, {format_trace_expression(self)!r})"
 

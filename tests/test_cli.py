@@ -1,5 +1,6 @@
 """Command line contract: pinned renderings, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -105,6 +106,17 @@ def test_parametrix_json_shape(capsys):
     payload = json.loads(out)
     assert len(payload["terms"]) == 3
     assert payload["defect"] == {"components": {}}
+
+
+def test_parametrix_text_is_pinned(capsys):
+    code, out, _ = run(capsys, "parametrix", "--d", "4", "--order", "2")
+    assert code == 0
+    lines = out.splitlines()
+    # both coefficient forms of format_symbol: a lone word and a bracketed sum
+    assert len(lines) == 20 and sum(line.startswith("( ") for line in lines) == 15
+    assert lines[1] == "h^2 * |xi|^-2"
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e4328df6359c45e18bca7acbb158255c780579f057d41e82b7bc1f94684f59d9"
 
 
 def test_verify_passes_and_is_deterministic(capsys):

@@ -24,17 +24,12 @@ from ncwres.randgen import (
     THETA_MODES,
     random_assignment,
     random_letter,
+    random_poly,
     random_symbol,
     random_theta,
 )
 from ncwres.serialize import assignment_to_json
-from ncwres.symcalc import (
-    Symbol,
-    _gamma_derivatives,
-    _gamma_factorial,
-    multi_indices,
-    symbol_product,
-)
+from ncwres.symcalc import Symbol, gamma_terms, multi_indices, symbol_product
 from ncwres.trace import ibp_reduce, trace
 from ncwres.verify import _identities
 
@@ -466,6 +461,24 @@ def test_third_derivative_of_a_wide_mode_does_not_wrap():
     assert got.coeffs == {(2**30, 2**30): 1e-3 * 2.0**90}
 
 
+@pytest.mark.parametrize("mode", THETA_MODES)
+@pytest.mark.parametrize("d", [2, 3])
+def test_poly_derive_matches_the_fourier_derivative(d, mode):
+    # NCPoly.derive's h^-1 expansion checked against the oracle's own
+    # derivation, so that a sign fault there cannot cancel on both sides
+    asg = random_assignment(d, 7, theta_mode=mode)
+    alg = Algebra(d)
+    rng = np.random.default_rng(d)
+    polys = [random_poly(d, rng, terms=4, max_len=4, max_order=1) for _ in range(4)]
+    hinv = alg.hinv()
+    polys += [hinv, hinv * alg.t(1) * hinv, alg.h() * hinv.derive(1) * alg.x()]
+    for p in polys:
+        for axis in range(1, d + 1):
+            got = asg.evaluate_poly(p.derive(axis))
+            want = asg.evaluate_poly(p).derive(axis)
+            assert (got - want).norm1() < 1e-7, (p, axis)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_random_words_match_the_left_to_right_product(d):
     asg = random_assignment(d, 7)
@@ -499,15 +512,13 @@ def pair_loop_gamma_sum(asg: Assignment, p: Symbol, q: Symbol, min_degree: int, 
     that reaches min_degree: the reference for the grouped products."""
     total = FourierElement(asg.theta)
     gamma_max = p.max_degree() + q.max_degree() - min_degree
-    for order in range(gamma_max + 1):
-        for gamma in multi_indices(p.d, order):
-            weight = 1.0 / _gamma_factorial(gamma)
-            dp, dq = _gamma_derivatives(p, q, gamma)
-            for mono1, coef1 in dp.terms.items():
-                for mono2, coef2 in dq.terms.items():
-                    if mono1.degree + mono2.degree >= min_degree:
-                        piece = asg.evaluate_poly(coef1) * asg.evaluate_poly(coef2)
-                        total = total + piece.scale(weight * mono1.eval(xi) * mono2.eval(xi))
+    for inv, dp, dq in gamma_terms(p, q, range(gamma_max + 1)):
+        weight = float(inv)
+        for mono1, coef1 in dp.terms.items():
+            for mono2, coef2 in dq.terms.items():
+                if mono1.degree + mono2.degree >= min_degree:
+                    piece = asg.evaluate_poly(coef1) * asg.evaluate_poly(coef2)
+                    total = total + piece.scale(weight * mono1.eval(xi) * mono2.eval(xi))
     return total
 
 
@@ -515,9 +526,8 @@ def gamma_left_degrees(p: Symbol, q: Symbol, min_degree: int) -> int:
     """Number of (gamma, degree of a monomial of d_xi^gamma P) pairs."""
     gamma_max = p.max_degree() + q.max_degree() - min_degree
     return sum(
-        len({mono.degree for mono in _gamma_derivatives(p, q, gamma)[0].terms})
-        for order in range(gamma_max + 1)
-        for gamma in multi_indices(p.d, order)
+        len({mono.degree for mono in dp.terms})
+        for _, dp, _ in gamma_terms(p, q, range(gamma_max + 1))
     )
 
 

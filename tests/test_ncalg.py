@@ -19,6 +19,8 @@ from ncwres.ncalg import (
     format_word,
     normalize_word,
     Combination,
+    Frozen,
+    Record,
     WordSum,
     _bump,
     _cancels,
@@ -400,6 +402,38 @@ def test_value_classes_keep_their_behaviour():
         with pytest.raises(AttributeError):
             delattr(obj, name)
         assert copy.deepcopy(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_record_constructor_takes_one_value_per_field():
+    class Pair(Record):
+        __slots__ = ("a", "b")
+
+    class FrozenPair(Frozen):
+        __slots__ = ("a", "b")
+
+    for cls in (Pair, FrozenPair):
+        assert repr(cls(1, 2)) == f"{cls.__name__}(a=1, b=2)"
+        for values in ((), (1,), (1, 2, 3)):
+            with pytest.raises(TypeError, match=f"takes 2 fields, not {len(values)}"):
+                cls(*values)
+
+
+def test_scalar_sum_with_zero_is_the_other_operand():
+    q = Scalar(Fraction(3, 2), 2)
+    assert q + Scalar(0) is q and Scalar(0) + q is q
+
+
+def test_xi_monomial_is_not_equal_to_its_fields():
+    mono = XiMonomial((1, 0), 2)
+    assert mono != ((1, 0), 2) and ((1, 0), 2) != mono
+
+
+def test_combination_reprs_show_the_formatted_body():
+    hx = ALG.h() * ALG.x() - ALG.one()
+    assert repr(hx) == "NCPoly(2, '-1 + h.X')"
+    s = Symbol.from_poly(hx, alpha=(1, 0))
+    assert repr(s) == "Symbol(2, '( -1 + h.X ) * xi1')"
+    assert repr(trace(ALG.h_power(2))) == "TraceExpression(2, 't[h^2]')"
 
 
 # -- interned letters ------------------------------------------------------

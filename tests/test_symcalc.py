@@ -13,11 +13,11 @@ from ncwres.parametrix import OperatorSpec, laplace_symbol, parametrix_terms
 from ncwres.symcalc import (
     Symbol,
     XiMonomial,
-    _gamma_derivatives,
-    _gamma_factorial,
     compose,
+    expand_norm,
     format_xi_monomial,
     gamma_pairs,
+    gamma_terms,
     multi_indices,
     symbol_product,
 )
@@ -144,6 +144,12 @@ def test_product_truncates():
     q = Symbol.from_poly(ALG.h())
     got = symbol_product(p, q, min_degree=1)
     assert got == Symbol(D, {xi_mono((1, 0)): ALG.h() * ALG.h()})
+
+
+def test_expand_norm_rejects_a_negative_norm_power():
+    s = Symbol.from_poly(ALG.h(), alpha=(1, 0), m=-1)
+    with pytest.raises(ValueError, match="negative norm power"):
+        expand_norm(s)
 
 
 def test_multi_indices_cover_level():
@@ -280,14 +286,12 @@ def _reference_pairs(p, q, lo, hi):
     # every gamma up to the last level that can still reach lo, derived
     # from scratch, with the pairs outside the band dropped afterwards
     hi = p.max_degree() + q.max_degree() if hi is None else hi
-    for level in range(p.max_degree() + q.max_degree() - lo + 1):
-        for gamma in multi_indices(p.d, level):
-            inv = Fraction(1, _gamma_factorial(gamma))
-            dp, dq = _gamma_derivatives(p, q, gamma)
-            for m1, c1 in dp.terms.items():
-                for m2, c2 in dq.terms.items():
-                    if lo <= m1.degree + m2.degree <= hi:
-                        yield inv, m1, c1, m2, c2
+    levels = range(p.max_degree() + q.max_degree() - lo + 1)
+    for inv, dp, dq in gamma_terms(p, q, levels):
+        for m1, c1 in dp.terms.items():
+            for m2, c2 in dq.terms.items():
+                if lo <= m1.degree + m2.degree <= hi:
+                    yield inv, m1, c1, m2, c2
 
 
 @pytest.mark.parametrize("seed", range(4))

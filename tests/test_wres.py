@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ncwres import parametrix, serialize, symcalc, wres
+from ncwres import parametrix, serialize, symcalc, verify, wres
 from ncwres.ncalg import Algebra, NCPoly, Scalar
 from ncwres.parametrix import (
     OperatorSpec,
@@ -388,6 +388,19 @@ def test_poisoned_table_fails_both_moment_checks(d):
     for check in (_moment_partition, _dichotomy):
         assert check(d, SphereIntegralTable(d))["passed"]
         assert not check(d, poisoned)["passed"]
+
+
+def test_trace_property_check_fails_on_asymmetric_probes(monkeypatch):
+    real = verify.trace_property_probe
+
+    def asymmetric(p, q, table=None):
+        r_pq, r_qp, _ = real(p, q, table)
+        return r_pq, r_qp, False
+
+    monkeypatch.setattr(verify, "trace_property_probe", asymmetric)
+    check = verify._trace_property(4, 0, SphereIntegralTable(4))
+    assert not check["passed"]
+    assert check["detail"] == "5 of 5 probes broke the trace property"
 
 
 @pytest.mark.parametrize("make_table", [_odd_moment_table, poisoned_table])
