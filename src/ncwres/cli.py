@@ -5,8 +5,9 @@ canonical rendering and as JSON; ``parametrix`` emits the correction
 terms and the composition defect; ``verify`` runs the self-check battery
 and exits 3 when a check fails; ``oracle-check`` replays symbolic
 identities on a concrete representation.  Exit codes: 0 success, 1 closed
-stdout, 2 bad usage, 3 failed checks.  Timing always goes to stderr, never
-into the JSON, so output bytes depend only on the arguments and the seed.
+stdout, 2 bad usage or a request that runs out of memory, 3 failed
+checks.  Timing always goes to stderr, never into the JSON, so output
+bytes depend only on the arguments and the seed.
 """
 
 from __future__ import annotations
@@ -266,6 +267,8 @@ def main(argv=None) -> int:
         # devnull takes the interpreter's own flush at exit, which would raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except MemoryError:
+        return _bad_input("out of memory: the request is too large for this machine")
     return code
 
 

@@ -286,8 +286,11 @@ def word_sort_key(word: Word):
     return (len(word), tuple(let._key for let in word))
 
 
-def _bump(deriv: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    return deriv[: axis - 1] + (deriv[axis - 1] + 1,) + deriv[axis:]
+def _bump(index: tuple[int, ...], axis: int, step: int = 1) -> tuple[int, ...]:
+    """``index`` with its entry at the 1-based ``axis`` moved by ``step``:
+    the one step along an axis of a multi-index, whether a letter's
+    derivative, a xi exponent, a gamma or, from zero, a unit vector."""
+    return index[: axis - 1] + (index[axis - 1] + step,) + index[axis:]
 
 
 class WordSum:
@@ -500,10 +503,10 @@ class NCPoly(Combination):
         """Apply the direction-``axis`` derivation by the Leibniz rule.
 
         The new words are normal already: a derived letter cancels with
-        nothing, and h^-1 d(h) h^-1 keeps the neighbours h^-1 had.
+        nothing, and h^-1 d(h) h^-1 keeps the neighbours h^-1 had.  An
+        axis outside 1..d raises from ``Letter.derived``, which forms d(h)
+        first.
         """
-        if not 1 <= axis <= self.d:
-            raise ValueError(f"axis {axis} out of range for d={self.d}")
         dh = Letter("H", (0,) * self.d).derived(axis)
         k = axis - 1
         out: dict[Word, Fraction] = {}

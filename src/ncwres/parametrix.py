@@ -28,12 +28,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .ncalg import Algebra, Frozen, Letter, NCPoly, Record
+from .ncalg import Algebra, Frozen, Letter, NCPoly, Record, _bump
 from .symcalc import (
     Symbol,
     XiMonomial,
     _sum_pairs,
-    _unit,
     compose,
     gamma_terms,
     symbol_product,
@@ -79,7 +78,7 @@ def laplace_symbol(spec: OperatorSpec) -> Symbol:
         if spec.include_t:
             y = y + alg.t(a)
         if not y.is_zero():
-            terms[XiMonomial(_unit(d, a), 0)] = y
+            terms[XiMonomial(_bump(zero, a), 0)] = y
         phi = phi + pdq * dp + pq * dp.derive(a)
         if spec.include_t:
             phi = phi + alg.t(a).derive(a).scale(Fraction(1, 2))

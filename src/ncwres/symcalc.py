@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
-from .ncalg import Combination, Frozen, NCPoly, WordSum, _accumulate, format_poly
+from .ncalg import Combination, Frozen, NCPoly, WordSum, _accumulate, _bump, format_poly
 
 
 class XiMonomial(Frozen):
@@ -80,10 +80,6 @@ class XiMonomial(Frozen):
         )
 
 
-def _unit(d: int, axis: int) -> tuple[int, ...]:
-    return tuple(1 if i == axis - 1 else 0 for i in range(d))
-
-
 class Symbol(Combination):
     """Finite sum of xi-monomials with NCPoly coefficients."""
 
@@ -113,18 +109,13 @@ class Symbol(Combination):
 
     def partial_xi(self, axis: int) -> "Symbol":
         out: dict[XiMonomial, NCPoly] = {}
-        e = _unit(self.d, axis)
         for mono, coef in self.terms.items():
             a = mono.alpha[axis - 1]
             if a:
-                down = XiMonomial(
-                    tuple(x - y for x, y in zip(mono.alpha, e)), mono.m
-                )
+                down = XiMonomial(_bump(mono.alpha, axis, -1), mono.m)
                 _accumulate(out, down, coef.scale(a))
             if mono.m:
-                up = XiMonomial(
-                    tuple(x + y for x, y in zip(mono.alpha, e)), mono.m - 1
-                )
+                up = XiMonomial(_bump(mono.alpha, axis), mono.m - 1)
                 _accumulate(out, up, coef.scale(2 * mono.m))
         return Symbol._trusted(self.d, out)
 
@@ -160,14 +151,10 @@ class Symbol(Combination):
 
 
 def multi_indices(d: int, total: int) -> list[tuple[int, ...]]:
-    """All multi-indices of the given total, in a fixed order."""
-    out = []
-    for combo in combinations_with_replacement(range(d), total):
-        gamma = [0] * d
-        for i in combo:
-            gamma[i] += 1
-        out.append(tuple(gamma))
-    return sorted(set(out))
+    """All multi-indices of the given total, in sorted order: each
+    multiset of ``total`` axes, read as its count per axis, once."""
+    combos = combinations_with_replacement(range(d), total)
+    return sorted(tuple(combo.count(i) for i in range(d)) for combo in combos)
 
 
 def _gamma_factorial(gamma: tuple[int, ...]) -> int:
@@ -225,17 +212,11 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):
     stack = [(p.truncate_below(p_floor), q.truncate_below(q_floor), Fraction(1), (0,) * d, d)]
     while stack:
         dp, dq, inv, gamma, top = stack.pop()
-        # degree of m1 -> the q-monomials that land in the band with it
-        partners: dict[int, list] = {}
         for m1, c1 in dp.terms.items():
             d1 = m1.degree
-            right = partners.get(d1)
-            if right is None:
-                right = partners[d1] = [
-                    (m2, c2) for m2, c2 in dq.terms.items() if lo <= d1 + m2.degree <= hi
-                ]
-            for m2, c2 in right:
-                yield inv, m1, c1, m2, c2
+            for m2, c2 in dq.terms.items():
+                if lo <= d1 + m2.degree <= hi:
+                    yield inv, m1, c1, m2, c2
         # d_xi lowers every degree by one, so cut before deriving
         dp = dp.truncate_below(p_floor + 1)
         dq = dq.truncate_below(q_floor + sum(gamma) + 1)
@@ -247,7 +228,7 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):
             if child_p.is_zero():
                 continue
             k = gamma[axis - 1] + 1
-            stack.append((child_p, child_q, inv / k, gamma[: axis - 1] + (k,) + gamma[axis:], axis))
+            stack.append((child_p, child_q, inv / k, _bump(gamma, axis), axis))
 
 
 def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:

@@ -45,7 +45,7 @@ from math import factorial
 from operator import add
 
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_series
-from .ncalg import NCPoly, Scalar, WordSum
+from .ncalg import NCPoly, Scalar, WordSum, _bump
 from .symcalc import Symbol, XiMonomial, compose, gamma_pairs
 from .trace import TraceExpression, trace, trace_equal
 
@@ -230,8 +230,7 @@ def sphere_derivative_dichotomy(
         raise ValueError("rho - 1 must be even to form |xi|^(rho-1)")
     if table is None:
         table = SphereIntegralTable(d)
-    alpha = tuple(1 if k == j - 1 else 0 for k in range(d))
-    f = Symbol(d, {XiMonomial(alpha, (rho - 1) // 2): NCPoly.one(d)})
+    f = Symbol(d, {XiMonomial(_bump((0,) * d, j), (rho - 1) // 2): NCPoly.one(d)})
     out = Fraction(0)
     for mono, coef in f.partial_xi(i).terms.items():
         out += table.get(mono.alpha) * coef.terms[()]

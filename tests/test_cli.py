@@ -341,6 +341,31 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
     assert "BrokenPipeError" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        ("ncwres.cli", "wres_inverse_power", ["wres", "--d", "8", "--power", "2"]),
+        ("ncwres.cli", "parametrix_terms", ["parametrix", "--d", "8", "--order", "6"]),
+        ("ncwres.verify", "run_verification", ["verify", "--d", "8"]),
+        ("ncwres.verify", "oracle_battery", ["oracle-check", "--d", "2"]),
+    ],
+    ids=["wres", "parametrix", "verify", "oracle-check"],
+)
+def test_memory_exhaustion_exits_two_with_one_line(capsys, monkeypatch, module, name, argv):
+    # a request too large for the machine ends in MemoryError somewhere
+    # inside its handler; the handler's entry point stands in for that place
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"{module}.{name}", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ncwres: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -4,7 +4,6 @@ import pickle
 import random
 import subprocess
 import sys
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,18 +164,6 @@ def test_commutative_image_expr_merges_words():
     b = trace(NCPoly.from_word(D, (T1, DH, H)))
     img = commutative_image_expr(a - b)
     assert img.is_zero()
-
-
-def test_reduction_cache_is_the_systems_own():
-    # each system caches its own raw word -> trace word map, and the
-    # cache holds no reference back to the system, so it goes with it
-    e = trace(ALG.h().derive(1) * ALG.h() * ALG.t(1))
-    a, b = ReductionSystem(D, e.terms), ReductionSystem(D, e.terms)
-    assert a._canon is not b._canon
-    assert a._canon.cache_info().currsize == b._canon.cache_info().currsize > 0
-    cache = weakref.ref(a._canon)
-    del a
-    assert cache() is None
 
 
 def _record_seeds(monkeypatch) -> list:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncwres import parametrix, serialize, symcalc, verify, wres
-from ncwres.ncalg import Algebra, NCPoly, Scalar
+from ncwres.ncalg import Algebra, Letter, NCPoly, Scalar, _accumulate
 from ncwres.parametrix import (
     OperatorSpec,
     laplace_symbol,
@@ -15,7 +15,7 @@ from ncwres.parametrix import (
 )
 from ncwres.randgen import random_probe_pair, random_symbol
 from ncwres.symcalc import Symbol, XiMonomial, compose, symbol_product
-from ncwres.trace import ibp_reduce, trace, trace_equal
+from ncwres.trace import TraceExpression, TraceWord, ibp_reduce, trace, trace_equal
 from ncwres.verify import _dichotomy, _moment_partition, poisoned_table
 from ncwres.wres import (
     SphereIntegralTable,
@@ -566,3 +566,55 @@ def test_d8_cubed_inverse_raw_residue_is_pinned():
         "30d9c07e9c4e104fd50298fc8cf613aabd1e6fb4523ab866aa39b6368d39e266",
         192,
     )
+
+
+def _reversal(e):
+    # t[w] -> (-1)^(ord w) t[reversed w], T keeping its sign
+    order = lambda tw: sum(let.order for let in tw)
+    terms = {TraceWord(tw[::-1]): sc * (-1) ** order(tw) for tw, sc in e.terms.items()}
+    return TraceExpression(e.d, terms)
+
+
+def _reflection(e):
+    # x -> -x flips every derivative and every T_a
+    flips = lambda tw: sum(let.order + (let.kind == "T") for let in tw)
+    return TraceExpression(e.d, {tw: sc * (-1) ** flips(tw) for tw, sc in e.terms.items()})
+
+
+SYMMETRIC = [
+    (4, 1, True, False),
+    (4, 1, True, True),
+    (6, 2, True, True),
+    (4, 1, False, False),
+    (6, 2, False, False),
+]
+
+
+@pytest.mark.parametrize("d, power, torsion, potential", SYMMETRIC)
+def test_raw_residue_is_reversal_and_reflection_symmetric(d, power, torsion, potential):
+    # both maps fix the raw residue term by term, with no integration by parts
+    raw = wres_inverse_power(OperatorSpec(d=d, include_t=torsion, include_x=potential), power)
+    assert not raw.is_zero()
+    assert raw == _reversal(raw)
+    assert raw == _reflection(raw)
+
+
+def _derive_with_flipped_inverse(self, axis):
+    """``NCPoly.derive`` with d(h^-1) = +h^-1 d(h) h^-1, the wrong sign."""
+    dh = Letter("H", (0,) * self.d).derived(axis)
+    out = {}
+    for word, sc in self.terms.items():
+        for i, let in enumerate(word):
+            if let.kind == "Hinv":
+                _accumulate(out, word[:i] + (let, dh, let) + word[i + 1:], sc)
+            else:
+                _accumulate(out, word[:i] + (let.derived(axis),) + word[i + 1:], sc)
+    return NCPoly._trusted(self.d, out)
+
+
+@pytest.mark.parametrize("d, power, torsion, potential", [c for c in SYMMETRIC if c[2]])
+def test_flipped_inverse_derivative_breaks_reversal_only(monkeypatch, d, power, torsion, potential):
+    monkeypatch.setattr(NCPoly, "derive", _derive_with_flipped_inverse)
+    raw = wres_inverse_power(OperatorSpec(d=d, include_t=torsion, include_x=potential), power)
+    assert raw != _reversal(raw)
+    assert raw == _reflection(raw)
