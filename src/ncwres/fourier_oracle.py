@@ -12,7 +12,8 @@ An element stores only ``idx``, an n x d int64 array of distinct mode
 indices, and ``val``, their n nonzero complex coefficients.  Products
 and linear combinations merge equal modes through one routine,
 ``_merge``: the modes are linearized in a mixed radix over their
-bounding box and equal keys summed by one unique/bincount pass.
+bounding box, brought together by one stable sort of the keys, and each
+run of equal keys summed in the order it came (``_sum_by_key``).
 
 The product takes the phases of a block of mode pairs as
 exp(2 pi i (A L) B^T), with L the strict lower triangle of theta, and
@@ -101,11 +102,18 @@ def _strides(width: list[int]) -> np.ndarray:
 
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in ascending order, with the sum of their values."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    re = np.bincount(inv, weights=vals.real, minlength=len(uniq))
-    im = np.bincount(inv, weights=vals.imag, minlength=len(uniq))
-    return uniq, re + 1j * im
+    """Distinct keys in ascending order, with the sum of their values.
+
+    One stable sort brings equal keys together in the order they came,
+    and ``np.add.reduceat`` sums each run: a sum does not depend on how
+    a sort breaks ties, which differs between numpy builds and CPUs.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    start = np.flatnonzero(first)
+    return keys[start], np.add.reduceat(vals[order], start)
 
 
 def _merge(theta: ThetaMatrix, keys, vals, lo: list[int], width: list[int]) -> "FourierElement":
@@ -221,7 +229,9 @@ class FourierElement:
         return float(np.abs(self.val).sum())
 
     def prune(self, eps: float) -> "FourierElement":
-        return self._masked(self.idx, np.where(np.abs(self.val) > eps, self.val, 0))
+        """The modes whose coefficient exceeds ``eps`` in modulus, by one mask."""
+        keep = np.abs(self.val) > eps
+        return FourierElement._trusted(self.theta, self.idx[keep], self.val[keep])
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
         return (self - self.adjoint()).norm1() <= tol

@@ -108,6 +108,8 @@ class Symbol(Combination):
         )
 
     def partial_xi(self, axis: int) -> "Symbol":
+        if not 1 <= axis <= self.d:
+            raise ValueError(f"axis {axis} out of range for d={self.d}")
         out: dict[XiMonomial, NCPoly] = {}
         for mono, coef in self.terms.items():
             a = mono.alpha[axis - 1]

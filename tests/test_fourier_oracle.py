@@ -16,6 +16,8 @@ from ncwres.fourier_oracle import (
     Assignment,
     FourierElement,
     ThetaMatrix,
+    _merge,
+    _sum_by_key,
     gamma_sum_evaluation,
     nc_invert_neumann,
 )
@@ -184,6 +186,70 @@ def test_every_result_holds_distinct_modes_and_nonzero_values(case, mode):
     for empty in (asg.evaluate_poly(NCPoly(d)), asg.evaluate_symbol(Symbol(d), (0.5,) * d)):
         assert_well_formed(empty, d)
         assert len(empty.val) == 0
+
+
+def dict_sum(keys: np.ndarray, vals: np.ndarray) -> dict:
+    out: dict = {}
+    for k, v in zip(keys.tolist(), vals.tolist()):
+        out[k] = out.get(k, 0) + v
+    return out
+
+
+def test_sum_by_key_matches_a_dict_sum():
+    rng = np.random.default_rng(12)
+    # heavy duplication; small integer parts sum exactly, and many cancel
+    keys = rng.integers(0, 64, size=3000)
+    vals = rng.integers(-3, 4, size=3000) + 1j * rng.integers(-3, 4, size=3000)
+    k, v = _sum_by_key(keys, vals)
+    want = dict_sum(keys, vals)
+    assert k.tolist() == sorted(want)
+    assert v.tolist() == [want[key] for key in k.tolist()]
+    # one key 5 000 times among a few others
+    keys = np.concatenate([np.full(5000, 7), rng.integers(-5, 5, size=20)])
+    vals = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    rng.shuffle(keys)
+    k, v = _sum_by_key(keys, vals)
+    want = dict_sum(keys, vals)
+    assert k.tolist() == sorted(want)
+    assert np.allclose(v, [want[key] for key in k.tolist()], rtol=1e-12, atol=1e-12)
+    k, v = _sum_by_key(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+    assert len(k) == len(v) == 0
+
+
+def test_merge_drops_sums_that_cancel_exactly():
+    keys = np.array([5, 0, 5, 3, 0, 3, 8])
+    vals = np.array([1.5, 2j, -1.5, 0.25, -2j, 0.25, 1e-300 + 1j])
+    el = _merge(THETA3, keys, vals, [-1, 0, 2], [1, 3, 3])
+    assert_well_formed(el, 3)
+    # key 3 is (0, 1, 0) in the box of widths (1, 3, 3), shifted by lo
+    assert el.coeffs == {(-1, 1, 2): 0.5, (-1, 2, 4): 1e-300 + 1j}
+
+
+def product_cases(d: int, mode: str):
+    rng = np.random.default_rng(200 * d + THETA_MODES.index(mode))
+    theta = random_theta(d, rng, mode)
+    few, grid = rand_element(theta, rng, modes=3), grid_element(theta, rng)
+    small, other = rand_element(theta, rng, modes=6), rand_element(theta, rng, modes=5)
+    # the first two span several blocks of the kernel, the last one block
+    assert len(few.val) * len(grid.val) > BLOCK_PAIRS >= len(small.val) * len(other.val)
+    return [(few, grid), (grid, few), (small, other)]
+
+
+@pytest.mark.parametrize("mode", THETA_MODES)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_product_modes_come_out_in_ascending_order(d, mode):
+    for a, b in product_cases(d, mode):
+        rows = list(map(tuple, (a * b).idx.tolist()))
+        assert rows == sorted(set(rows))
+
+
+@pytest.mark.parametrize("mode", THETA_MODES)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_same_product_twice_is_bitwise_equal(d, mode):
+    for (a, b), (a2, b2) in zip(product_cases(d, mode), product_cases(d, mode)):
+        first, second = a * b, a2 * b2
+        assert first.idx.tobytes() == second.idx.tobytes()
+        assert first.val.tobytes() == second.val.tobytes()
 
 
 def test_adjoint_is_involutive_and_antimultiplicative():

@@ -94,6 +94,14 @@ def test_partial_xi_finite_difference():
         assert math.isclose(fd, sym, rel_tol=1e-9, abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_partial_xi_rejects_an_axis_out_of_range(d):
+    s = laplace_symbol(OperatorSpec(d=d))
+    for axis in (0, -1, d + 1):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for d={d}"):
+            s.partial_xi(axis)
+
+
 def test_pointwise_keeps_coefficient_order():
     p = Symbol(D, {xi_mono((1, 0)): ALG.h()})
     q = Symbol(D, {xi_mono((1, 0)): ALG.t(1)})
