@@ -332,7 +332,8 @@ class Assignment:
         return _combine(self.theta, [(self.evaluate_word(w), c) for w, c in sums.items()])
 
     def evaluate_poly(self, p: NCPoly) -> FourierElement:
-        return self._table_sum({word: float(sc) for word, sc in p.terms.items()})
+        # n / den rounds the exact quotient once, as float(Fraction) does
+        return self._table_sum({word: n / p.den for word, n in p.num.items()})
 
     def evaluate_trace_expression(self, e: TraceExpression) -> complex:
         total = 0.0 + 0.0j
@@ -378,9 +379,9 @@ def _word_sums(s: Symbol, xi) -> dict:
     monomial m; words whose sum is 0 are dropped."""
     sums: dict[tuple[Letter, ...], float] = {}
     for mono, coef in s.terms.items():
-        m = mono.eval(xi)
-        for word, sc in coef.terms.items():
-            sums[word] = sums.get(word, 0.0) + m * float(sc)
+        m, den = mono.eval(xi), coef.den
+        for word, n in coef.num.items():
+            sums[word] = sums.get(word, 0.0) + m * (n / den)
     return {w: c for w, c in sums.items() if c != 0}
 
 

@@ -23,18 +23,18 @@ constructor normalizes its keys, so the arithmetic can rely on it: a
 product of two normal words can only cancel at the junction, and a
 derivation never creates an adjacent underived pair (it either derives a
 letter or replaces h^-1 by h^-1 d(h) h^-1).  Results built inside the
-class therefore skip both the re-normalization and the re-filter.
+class therefore skip the re-normalization.
 
-Coefficients are plain ``Fraction``s: nothing in the algebra involves pi.
-``Scalar``, a rational times an integer power of pi, is what a
-``TraceExpression`` stores per term; a residue gets its pi^(d/2) there,
-from ``wres._traced``, while the sphere moments stay rationals.
+An ``NCPoly`` stores integer numerators over one denominator in lowest
+terms, so its arithmetic forms no ``Fraction``; ``terms`` gives them on
+demand.  Nothing in the algebra involves pi: ``Scalar``, a rational
+times a power of pi, is what a ``TraceExpression`` stores per term, and
+a residue gets its pi^(d/2) from ``wres._traced``.
 
-``Combination`` is the one additive core: ``NCPoly`` here, ``Symbol`` and
-``TraceExpression`` elsewhere are finite sums of keys with nonzero
-coefficients, and share the constructor that drops zero coefficients,
-zero, equality, sum, negation and scaling.
-``_accumulate`` is the one sparse merge all three build their results with.
+``Combination`` is the additive core of ``NCPoly``, ``Symbol`` and
+``TraceExpression``.  The last two share its constructor, equality,
+sum, negation and scaling, and build their results with the one sparse
+merge ``_accumulate``; ``NCPoly``'s integer storage brings its own.
 
 ``Record`` and ``Frozen`` give the package's small value classes
 (``Scalar`` here, ``XiMonomial``, ``OperatorSpec`` and the result records
@@ -42,20 +42,17 @@ elsewhere) the constructor, repr, equality, hashing and pickling of their
 slotted fields, written once here rather than generated per class at
 start-up.
 
-``WordSum`` is the one kernel that multiplies polynomials: ``NCPoly``
-products, every symbol product and the residue pass build through it.
-It accumulates integer numerators over one common denominator, so the
-pair loop does no gcd; ``Fraction``s are formed once per word of the
-result, and every coefficient that leaves the kernel is a ``Fraction``.
-An operand's integer form is built once and kept on the ``NCPoly``, so
-every product that reads it shares it and it is freed with it.
+``WordSum`` is the one kernel that multiplies polynomials (``NCPoly``
+products, every symbol product, the residue pass): it reads each
+operand's numerators and sums integers over one common denominator, so
+its pair loop does no gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 KIND_RANK = {"H": 0, "Hinv": 1, "T": 2, "X": 3}
@@ -294,26 +291,18 @@ def _bump(index: tuple[int, ...], axis: int, step: int = 1) -> tuple[int, ...]:
 
 
 class WordSum:
-    """Exact sum of products of ``NCPoly``s: integer numerators ``num``
-    over one denominator ``den``.
-
-    ``add_product`` reads each operand's integer form, so the pair loop
-    does integer multiplies and adds only: no gcd and no new ``Fraction``
-    per product.  ``terms`` forms the ``Fraction``s once per surviving
-    word.  The sum keeps no reference to its operands.
-    """
+    """Exact sum of products of ``NCPoly``s: integer numerators ``num`` over
+    one denominator ``den``, holding no reference to the operands."""
 
     __slots__ = ("num", "den")
 
     def __init__(self):
-        self.num: dict[Word, int] = {}
-        self.den = 1
+        self.num, self.den = {}, 1
 
     def add_product(self, p1: "NCPoly", p2: "NCPoly", c: int | Fraction = 1):
-        """Add c times the product ``p1 p2``."""
-        d1, items1 = p1._int_form()
-        d2, items2 = p2._int_form()
-        pair_den = d1 * d2 * c.denominator
+        """Add c times the product ``p1 p2``: integer multiplies and adds
+        only, no gcd and no ``Fraction``."""
+        pair_den = p1.den * p2.den * c.denominator
         den, num = self.den, self.num
         if den % pair_den:
             new = lcm(den, pair_den)
@@ -323,16 +312,18 @@ class WordSum:
             self.den = den = new
         f = den // pair_den * c.numerator
         get = num.get
-        for w1, n1, _, tail in items1:
+        # end-letter signs, 3 for the empty word: only a cancelling junction calls _join
+        heads = [(w2, n2, w2[0]._sign if w2 else 3) for w2, n2 in p2.num.items()]
+        for w1, n1 in p1.num.items():
             n1 *= f
-            for w2, n2, head, _ in items2:
+            tail = w1[-1]._sign if w1 else 3
+            for w2, n2, head in heads:
                 key = _join(w1, w2) if tail + head == 0 else w1 + w2
                 num[key] = get(key, 0) + n1 * n2
 
-    def terms(self) -> dict[Word, Fraction]:
-        """The sum as normal words to nonzero ``Fraction``s."""
-        den = self.den
-        return {w: Fraction(n, den) for w, n in self.num.items() if n}
+    def poly(self, d: int) -> "NCPoly":
+        """The sum as an ``NCPoly``, which may share its dict: add nothing after."""
+        return NCPoly._trusted(d, self.num, self.den)
 
 
 def _accumulate(terms: dict, key, value):
@@ -375,10 +366,9 @@ class Combination:
     ``TraceExpression``.  The constructor keeps the nonzero coefficients
     of ``terms``; a subclass that checks or normalizes its keys wraps it.
     Results built here from valid operands go through ``_trusted`` and
-    skip those checks.
-    """
+    skip those checks.  A subclass declares the ``terms`` slot."""
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d",)
     __hash__ = None
 
     def __init__(self, d: int, terms: dict | None = None):
@@ -398,7 +388,7 @@ class Combination:
         return cls._trusted(d, {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -432,100 +422,110 @@ class Combination:
 
 
 class NCPoly(Combination):
-    """Finite rational combination of normalized words.
+    """Rational combination of normal words, stored as integer numerators
+    ``num`` over ``den`` in lowest terms: den > 0, no zero numerator, and
+    no factor common to den and every numerator, so equal polynomials
+    store equal fields.  ``terms``, the words to their ``Fraction``s, is
+    formed on first read and kept; it is read-only."""
 
-    The constructor normalizes every key and merges keys that become
-    equal, so no caller can store a non-normal word.  ``terms`` never
-    changes after construction, so the integer form that ``WordSum``
-    reads is computed from it once, on first use, and kept in ``_form``
-    for the life of the polynomial.
-    """
-
-    __slots__ = ("_form",)
+    __slots__ = ("num", "den", "_view")
 
     def __init__(self, d: int, terms: dict[Word, int | Fraction] | None = None):
-        self.d = d
-        self.terms: dict[Word, Fraction] = {}
-        if terms:
-            for word, sc in terms.items():
-                _accumulate(self.terms, normalize_word(word), Fraction(sc))
+        qs: dict[Word, Fraction] = {}
+        for word, q in (terms or {}).items():
+            _accumulate(qs, normalize_word(word), Fraction(q))
+        # over the lcm of reduced fractions, the numerators are in lowest terms
+        self.d, self.den = d, lcm(*(q.denominator for q in qs.values()))
+        self.num = {w: q.numerator * (self.den // q.denominator) for w, q in qs.items()}
+
+    @classmethod
+    def _trusted(cls, d: int, num: dict[Word, int], den: int = 1) -> "NCPoly":
+        """Wrap normal words to integer numerators over ``den`` > 0, reduced."""
+        vals = num.values()
+        g = gcd(den, *vals)
+        if g != 1 or 0 in vals:
+            num = {w: n // g for w, n in num.items() if n}
+        p = cls.__new__(cls)
+        p.d, p.num, p.den = d, num, den // g
+        return p
 
     @classmethod
     def one(cls, d: int) -> "NCPoly":
-        return cls(d, {(): 1})
+        return cls._trusted(d, {(): 1})
 
     @classmethod
-    def from_word(
-        cls, d: int, word: Iterable[Letter], coef: int | Fraction = 1
-    ) -> "NCPoly":
-        coef = Fraction(coef)
-        return cls._trusted(d, {normalize_word(word): coef} if coef else {})
+    def from_word(cls, d: int, word: Iterable[Letter], coef: int | Fraction = 1) -> "NCPoly":
+        coef = coef if type(coef) is int else Fraction(coef)
+        return cls._trusted(d, {normalize_word(word): coef.numerator}, coef.denominator)
 
-    def _int_form(self) -> tuple:
-        """(den, items): the common denominator of the coefficients, and
-        per word (word, integer numerator, head sign, tail sign).  The end
-        letters' signs (3 for the empty word, which cancels with nothing)
-        let a product call ``_join`` only where the junction cancels."""
-        try:
-            return self._form
-        except AttributeError:
-            pass
-        terms = self.terms
-        den = lcm(*(q.denominator for q in terms.values()))
-        items = []
-        for w, q in terms.items():
-            ends = (w[0]._sign, w[-1]._sign) if w else (3, 3)
-            items.append((w, q.numerator * (den // q.denominator), *ends))
-        self._form = form = (den, items)
-        return form
+    @property
+    def terms(self) -> dict[Word, Fraction]:
+        if not hasattr(self, "_view"):
+            self._view = {w: Fraction(n, self.den) for w, n in self.num.items()}
+        return self._view
 
-    # bound here, not inherited: perfbench's tracer patches the class __dict__
-    __add__ = Combination.__add__
-    __neg__ = Combination.__neg__
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.d, self.den, self.num) == (other.d, other.den, other.num)
+
+    def __add__(self, other: "NCPoly") -> "NCPoly":
+        self._check(other)
+        den = lcm(self.den, other.den)
+        up, up2 = den // self.den, den // other.den
+        out = {w: n * up for w, n in self.num.items()}
+        for w, n in other.num.items():
+            out[w] = out.get(w, 0) + n * up2
+        return NCPoly._trusted(self.d, out, den)
+
+    def __neg__(self) -> "NCPoly":
+        return self.scale(-1)
 
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, NCPoly):
             self._check(other)
             out = WordSum()
             out.add_product(self, other)
-            return NCPoly._trusted(self.d, out.terms())
+            return out.poly(self.d)
         return self.scale(other)
 
     def scale(self, c: int | Fraction) -> "NCPoly":
-        c = Fraction(c)
-        if not c:
-            return NCPoly.zero(self.d)
+        if type(c) is not int:
+            c = Fraction(c)
         if c == 1:
             return self
-        return NCPoly._trusted(self.d, {w: sc * c for w, sc in self.terms.items()})
+        up, den = c.numerator, self.den * c.denominator
+        return NCPoly._trusted(self.d, {w: n * up for w, n in self.num.items()}, den)
 
     def derive(self, axis: int) -> "NCPoly":
-        """Apply the direction-``axis`` derivation by the Leibniz rule.
-
-        The new words are normal already: a derived letter cancels with
-        nothing, and h^-1 d(h) h^-1 keeps the neighbours h^-1 had.  An
-        axis outside 1..d raises from ``Letter.derived``, which forms d(h)
-        first.
-        """
+        """Apply the direction-``axis`` derivation by the Leibniz rule.  The
+        new words are normal: a derived letter cancels with nothing, and
+        h^-1 d(h) h^-1 keeps the neighbours h^-1 had.  An axis outside 1..d
+        raises from ``Letter.derived``, which forms d(h) first."""
         dh = Letter("H", (0,) * self.d).derived(axis)
         k = axis - 1
-        out: dict[Word, Fraction] = {}
-        for word, sc in self.terms.items():
+        out: dict[Word, int] = {}
+        get = out.get
+        for word, n in self.num.items():
             for i, let in enumerate(word):
                 if let.kind == "Hinv":
                     new = word[:i] + (let, dh, let) + word[i + 1:]
-                    _accumulate(out, new, -sc)
+                    out[new] = get(new, 0) - n
                 else:
-                    bumped = let._up[k] or let.derived(axis)
-                    _accumulate(out, word[:i] + (bumped,) + word[i + 1:], sc)
-        return NCPoly._trusted(self.d, out)
+                    new = word[:i] + (let._up[k] or let.derived(axis),) + word[i + 1:]
+                    out[new] = get(new, 0) + n
+        return NCPoly._trusted(self.d, out, self.den)
 
     def commutative_image(self) -> "NCPoly":
         """Project onto the commutative quotient, word by word."""
-        out: dict[Word, Fraction] = {}
-        for word, sc in self.terms.items():
-            _accumulate(out, commutative_word(self.d, word), sc)
-        return NCPoly(self.d, out)
+        out: dict[Word, int] = {}
+        for word, n in self.num.items():
+            key = commutative_word(self.d, word)
+            out[key] = out.get(key, 0) + n
+        return NCPoly._trusted(self.d, out, self.den)
 
     def __repr__(self) -> str:
         return f"NCPoly({self.d}, {format_poly(self)!r})"

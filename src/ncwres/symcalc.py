@@ -21,11 +21,10 @@ expansion: it walks gamma depth first and yields (1/gamma!, m1, c1, m2,
 c2) for every monomial pair of d_xi^gamma P and delta^gamma Q whose degree
 lies in a band lo..hi, pruning what can no longer reach lo.  ``compose``
 multiplies those pairs into one ``ncalg.WordSum`` per monomial, as
-``Symbol.pointwise_mul`` does with the plain pairs; each coefficient
-``NCPoly`` carries its own integer form, so a coefficient met in many
-pairs, or in many products, is converted once.  The residue pass in
-``wres`` sums all the pairs, weighted by their sphere moments, into a
-single ``WordSum``.
+``Symbol.pointwise_mul`` does with the plain pairs; the sum reads each
+coefficient ``NCPoly``'s integer numerators as they are stored, so no
+coefficient is converted.  The residue pass in ``wres`` sums all the
+pairs, weighted by their sphere moments, into a single ``WordSum``.
 
 The reference routes, ``parametrix.closed_forms`` and the oracle's
 ``gamma_sum_evaluation``, share no walk with ``gamma_pairs``: each
@@ -83,7 +82,7 @@ class XiMonomial(Frozen):
 class Symbol(Combination):
     """Finite sum of xi-monomials with NCPoly coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __init__(self, d: int, terms: dict[XiMonomial, NCPoly] | None = None):
         if terms and any(len(mono.alpha) != d for mono in terms):
@@ -188,8 +187,8 @@ def _sum_pairs(d: int, pairs) -> Symbol:
         if mono not in acc:
             acc[mono] = WordSum()
         acc[mono].add_product(c1, c2, c)
-    sums = {mono: words.terms() for mono, words in acc.items()}
-    return Symbol._trusted(d, {m: NCPoly._trusted(d, t) for m, t in sums.items() if t})
+    sums = {mono: words.poly(d) for mono, words in acc.items()}
+    return Symbol._trusted(d, {mono: coef for mono, coef in sums.items() if coef})
 
 
 def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):

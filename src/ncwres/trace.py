@@ -125,7 +125,7 @@ class TraceExpression(Combination):
     reductions below take only expressions with one pi power.
     """
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __repr__(self) -> str:
         return f"TraceExpression({self.d}, {format_trace_expression(self)!r})"
@@ -149,8 +149,9 @@ def _cycles(items: Iterable[tuple[Word, object]], canon) -> dict:
 
 
 def trace(p: NCPoly) -> TraceExpression:
-    out = _cycles(p.terms.items(), partial(_cycle, p.d, False))
-    return TraceExpression._trusted(p.d, {tw: Scalar(q) for tw, q in out.items()})
+    """Sum the numerators per trace word, then form one ``Fraction`` each."""
+    out = _cycles(p.num.items(), partial(_cycle, p.d, False))
+    return TraceExpression._trusted(p.d, {tw: Scalar(Fraction(n, p.den)) for tw, n in out.items()})
 
 
 def commutative_image_expr(e: TraceExpression) -> TraceExpression:
@@ -227,10 +228,11 @@ class ReductionSystem(Echelon):
         while queue:
             self._explore(queue.popleft(), queue)
 
-    def _relation(self, gen: TraceWord, axis: int) -> dict[TraceWord, Fraction]:
-        """Row for t(d_axis(gen)) = 0."""
+    def _relation(self, gen: TraceWord, axis: int) -> dict[TraceWord, int]:
+        """Row for t(d_axis(gen)) = 0, read off the numerators: a
+        relation holds at any nonzero scale."""
         dp = NCPoly.from_word(self.d, gen).derive(axis)
-        return _cycles(dp.terms.items(), self._canon)
+        return _cycles(dp.num.items(), self._canon)
 
     def _lowerings(self, tw: TraceWord):
         """Pairs (gen, b): ``tw`` with one axis-b exponent lowered, canonical."""

@@ -23,11 +23,9 @@ formed.  The reader visits its monomial pairs from
 ``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if the
 table gives its summed alpha a nonzero moment, weights it by that
 rational, and sums every pair into one ``ncalg.WordSum``, exact integer
-numerators over one denominator.  The sum reads each coefficient through
-the integer form the ``NCPoly`` keeps on itself, so that form goes with
-the coefficient once the walk of ``gamma_pairs`` leaves it behind.  The
-result is a rational polynomial whose trace times pi^(d/2) is the
-residue, and it is traced once.
+numerators over one denominator, read straight from each coefficient's
+own numerators.  The result is a rational polynomial whose trace times
+pi^(d/2) is the residue, and it is traced once.
 ``wodzicki_residue`` reads [s] and ``trace_property_probe`` reads
 [P, Q] and [Q, P], so the probe forms no product.
 ``wres_inverse_power`` never forms the deepest parametrix term
@@ -75,7 +73,10 @@ class SphereIntegralTable:
     wrong constant is actually caught by the cross-validations.  Every
     moment, computed or overridden, is the rational of pi^(d/2), so an
     override takes a rational (a ``Scalar`` raises ``TypeError``) and
-    writes it into the cache, where every reader sees it.
+    writes it into the cache, where every reader sees it.  Its ``alpha``
+    is checked as every read checks it: a wrong length or a negative
+    exponent raises ``ValueError``, so only a moment that some read can
+    meet is ever stored.
     """
 
     def __init__(self, d: int):
@@ -83,7 +84,9 @@ class SphereIntegralTable:
         self._moments: dict[tuple[int, ...], Fraction] = {}
 
     def override(self, alpha: tuple[int, ...], value: Fraction | int):
-        self._moments[tuple(alpha)] = Fraction(value)
+        alpha = tuple(alpha)
+        self.get(alpha)  # raises for an alpha no read accepts
+        self._moments[alpha] = Fraction(value)
 
     def get(self, alpha: tuple[int, ...]) -> Fraction:
         alpha = tuple(alpha)
@@ -112,9 +115,8 @@ def _residue_coefficient(
     nonzero.  The last product, (F_1 # ... # F_(k-1)) # F_k, is never
     formed: every pair of it with a nonzero moment in the table
     (overrides included) goes into one ``WordSum``, weighted by 1/gamma!
-    times that moment.  The pair loop multiplies integers only; the
-    sum's ``Fraction``s are formed once and multiplied by the tail's
-    coefficient.
+    times that moment.  The pair loop multiplies integers only, and the
+    sum becomes one ``NCPoly``, multiplied by the tail's coefficient.
     """
     d = factors[0].d
     table = SphereIntegralTable(d) if table is None else table
@@ -133,7 +135,7 @@ def _residue_coefficient(
         m = moment(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
         if m:
             words.add_product(c1, c2, inv * m)
-    coef = NCPoly._trusted(d, words.terms())
+    coef = words.poly(d)
     return coef if right is None else coef * right
 
 

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,10 @@ from ncwres.ncalg import (
     _bump,
     _cancels,
     _join,
+    commutative_word,
 )
 from ncwres.parametrix import OperatorSpec
+from ncwres.randgen import random_poly
 from ncwres.serialize import poly_from_json, poly_to_json
 from ncwres.symcalc import Symbol, XiMonomial, compose
 from ncwres.trace import TraceExpression, trace
@@ -583,12 +586,12 @@ def test_word_sum_matches_a_fraction_loop(monkeypatch, seed):
     acc = WordSum()
     for p1, p2, c in _polys(products):
         acc.add_product(p1, p2, c)
-    got = acc.terms()
+    assert any(v == 0 for v in acc.num.values())  # cancelled words are dropped only at the end
+    got = acc.poly(D).terms
     assert got == want
     assert all(type(q) is Fraction and q for q in got.values())
-    assert any(v == 0 for v in acc.num.values())  # cancelled words are dropped only at the end
-    # the same products again, on fresh polynomials whose integer forms are
-    # built with every Fraction sum and product refused
+    # the same products again, summed and handed over as a polynomial with
+    # every Fraction sum and product refused: the kernel reads numerators
     acc = WordSum()
     polys = _polys(products)
     with monkeypatch.context() as patch:
@@ -596,13 +599,14 @@ def test_word_sum_matches_a_fraction_loop(monkeypatch, seed):
             patch.setattr(Fraction, name, _raise)
         for p1, p2, c in polys:
             acc.add_product(p1, p2, c)
-    assert acc.terms() == want
+        got = acc.poly(D)
+    assert got.terms == want
 
 
 def test_word_sum_of_nothing_is_empty():
     acc = WordSum()
     acc.add_product(NCPoly(D, {}), NCPoly(D, {(KERNEL_LETTERS[4],): Fraction(1, 3)}))
-    assert acc.terms() == {}
+    assert acc.poly(D).terms == {} and acc.poly(D) == NCPoly.zero(D)
     assert NCPoly.zero(D) * ALG.x() == NCPoly.zero(D)
 
 
@@ -622,17 +626,88 @@ def _reachable(root) -> set:
 def test_word_sum_keeps_no_operand_and_a_form_is_built_once():
     p1, p2, c = _polys(_kernel_products(0))[0]
     acc = WordSum()
-    acc.add_product(p1, p2, c)
-    form = p1._form
     for _ in range(3):
         acc.add_product(p1, p2, c)
         acc.add_product(p2, p1, c)
         assert (p1 * p2) * p1 == p1 * (p2 * p1)
-    # every product read the form built first, and the sum holds neither
-    # the operands nor their coefficient dicts
-    assert p1._form is form
-    held = _reachable(acc)
-    assert not held & {id(p1), id(p2), id(p1.terms), id(p2.terms), id(form)}
+    # the sum holds neither the operands nor their numerator dicts
+    assert not _reachable(acc) & {id(p1), id(p2), id(p1.num), id(p2.num)}
+    # the Fraction view is formed on first read and kept: a second read
+    # returns the same dict, and the sum holds that dict neither
+    view = p1.terms
+    assert p1.terms is view and all(type(q) is Fraction for q in view.values())
+    assert id(view) not in _reachable(acc)
+
+
+# -- the integer storage ---------------------------------------------------
+
+
+def _assert_canonical(p: NCPoly, want: dict):
+    """``p`` stores den > 0 over nonzero numerators that share no factor
+    with it, and its Fraction view is ``want`` without its zeros."""
+    assert p.den > 0 and gcd(p.den, *p.num.values()) == 1
+    assert all(p.num.values())
+    assert p.terms == {w: q for w, q in want.items() if q}
+
+
+def _fraction_sum(pairs) -> dict:
+    """Sum (word, Fraction) pairs by normal word: the plain reference."""
+    out: dict = {}
+    for word, q in pairs:
+        key = normalize_word(word)
+        out[key] = out.get(key, 0) + q
+    return out
+
+
+def _fraction_derive(p: NCPoly, axis: int) -> dict:
+    dh = Letter("H", (0,) * p.d).derived(axis)
+    pairs = []
+    for w, q in p.terms.items():
+        for i, let in enumerate(w):
+            if let.kind == "Hinv":
+                pairs.append((w[:i] + (let, dh, let) + w[i + 1:], -q))
+            else:
+                pairs.append((w[:i] + (let.derived(axis),) + w[i + 1:], q))
+    return _fraction_sum(pairs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_storage_is_canonical_and_matches_fraction_arithmetic(seed):
+    d = 2 + seed % 2
+    a = random_poly(d, seed, terms=4, max_len=3)
+    b = random_poly(d, seed + 100, terms=4, max_len=3)
+    ta, tb = a.terms, b.terms
+    for axis in range(1, d + 1):
+        _assert_canonical(a.derive(axis), _fraction_derive(a, axis))
+    for c in (0, 1, -1, Fraction(3, 7)):
+        _assert_canonical(a.scale(c), {w: q * c for w, q in ta.items()})
+    _assert_canonical(-a, {w: -q for w, q in ta.items()})
+    _assert_canonical(a + b, _fraction_sum([*ta.items(), *tb.items()]))
+    _assert_canonical(a - b, _fraction_sum([*ta.items(), *((w, -q) for w, q in tb.items())]))
+    # one word cancels, and what is left may need no factor divided out
+    first = next(iter(ta))
+    rest = {w: q for w, q in ta.items() if w != first}
+    _assert_canonical(a - NCPoly(d, {first: ta[first]}), rest)
+    product = ((w1 + w2, q1 * q2) for w1, q1 in ta.items() for w2, q2 in tb.items())
+    _assert_canonical(a * b, _fraction_sum(product))
+    image = ((commutative_word(d, w), q) for w, q in ta.items())
+    _assert_canonical(a.commutative_image(), _fraction_sum(image))
+
+
+def test_storage_divides_out_a_common_factor():
+    h, x = (H0,), (Letter("X", (0, 0)),)
+    half = NCPoly(D, {h + x: Fraction(1, 2), x + h: Fraction(1, 2)})
+    assert (half.den, half.num) == (2, {h + x: 1, x + h: 1})
+    # the two words meet in the commutative quotient, so the halves add to 1
+    assert (half.commutative_image().den, half.commutative_image().num) == (1, {h + x: 1})
+    assert half.scale(2).den == 1 and (half + half) == half.scale(2)
+    assert half.scale(Fraction(-4, 6)).num == {h + x: -1, x + h: -1}
+    assert NCPoly(D, {x: Fraction(2, 4)}) == NCPoly(D, {x: Fraction(1, 2)})
+    # over den 1 the cancelled word goes although no factor is divided out
+    assert (NCPoly(D, {h: 1, x: 2}) - ALG.h()).num == {x: 2}
+    for p in (half, random_poly(3, 0, terms=4, max_len=3)):
+        assert not (p - p) and (p - p).is_zero() and (p - p) == NCPoly.zero(p.d)
+        assert ((p - p).den, (p - p).num) == (1, {})
 
 
 def test_compose_drops_a_monomial_that_cancels():

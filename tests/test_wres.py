@@ -129,6 +129,18 @@ def test_table_override_keeps_the_pi_power():
     assert _is_rational(table.get((0, 0, 0, 0)), 3)
 
 
+@pytest.mark.parametrize("alpha", [(2, 0, 0), (2, 0, 0, 0, 0), (-2, 0, 0, 0), (0, 0, 4, -1)])
+def test_table_override_checks_alpha_like_a_read(alpha):
+    # a wrong length would be stored and never read; a negative entry
+    # would make get return a moment that sphere_integral refuses
+    table = SphereIntegralTable(D)
+    with pytest.raises(ValueError):
+        table.override(alpha, 5)
+    with pytest.raises(ValueError):
+        table.get(alpha)
+    assert table._moments == {}
+
+
 def test_residue_ignores_other_degrees():
     s = Symbol(
         D,
@@ -558,6 +570,21 @@ def test_d6_inverse_residue_is_pinned():
     )
 
 
+@pytest.mark.slow
+def test_d6_torsion_inverse_residue_is_pinned():
+    # Wres(Delta^-1) at d=6 with torsion, the largest d=6 residue: pinned
+    # raw and in its ibp_reduce form (about 12 s, half of it serializing)
+    raw = wres_inverse_power(OperatorSpec(d=6, include_t=True), 1)
+    assert _pin(raw) == (
+        "71f24afd2681dd4404b7f4cfcd2320eb06c9dfb0f4ceab79c234e2c58c9fb62e",
+        43578,
+    )
+    assert _pin(ibp_reduce(raw)) == (
+        "320e366a8e92bb4aa48c774984454b3eb0222b3720181c02a41802fe09d4decd",
+        38631,
+    )
+
+
 def test_d8_cubed_inverse_raw_residue_is_pinned():
     # Wres(Delta^-3) at d=8 with torsion, before integration by parts: its
     # first term reads a chain of three parametrix sums
@@ -609,7 +636,7 @@ def _derive_with_flipped_inverse(self, axis):
                 _accumulate(out, word[:i] + (let, dh, let) + word[i + 1:], sc)
             else:
                 _accumulate(out, word[:i] + (let.derived(axis),) + word[i + 1:], sc)
-    return NCPoly._trusted(self.d, out)
+    return NCPoly(self.d, out)
 
 
 @pytest.mark.parametrize("d, power, torsion, potential", [c for c in SYMMETRIC if c[2]])
