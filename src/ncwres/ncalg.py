@@ -162,12 +162,16 @@ class Letter:
     Letters are interned: each distinct (kind, deriv, axis) is one object,
     so equality and hashing are identity, which Python runs in C.  Derived
     data is computed once per letter: ``order`` (the total derivative
-    order), the cancellation sign, the sort key and, filled in on first
-    use, the letter's derivative along each axis.  The intern table lives
-    as long as the process and holds one entry per distinct letter made.
+    order), the cancellation sign, the sort key, its code and, filled in
+    on first use, the letter's derivative along each axis.  The code is
+    the key as a string, one character per entry (``chr`` of the kind
+    rank, the axis and each exponent), so codes compare as keys do and
+    all codes of one dimension have one length; an exponent past
+    ``chr``'s range, 0x10FFFF, is refused.  The intern table lives as
+    long as the process and holds one entry per distinct letter made.
     """
 
-    __slots__ = ("kind", "deriv", "axis", "order", "_sign", "_key", "_up")
+    __slots__ = ("kind", "deriv", "axis", "order", "_sign", "_key", "_code", "_up")
     _interned: dict = {}
 
     def __new__(cls, kind: str, deriv: tuple[int, ...], axis: int | None = None):
@@ -191,8 +195,8 @@ class Letter:
             raise ValueError(f"axis must be an int in 1..{len(deriv)}, not {axis!r}")
         if kind == "Hinv" and any(deriv):
             raise ValueError("derived inverse must be expanded, not stored")
-        if any(n < 0 for n in deriv):
-            raise ValueError("derivative exponents must be nonnegative")
+        if any(not 0 <= n < 0x110000 for n in deriv):
+            raise ValueError("derivative exponents must be nonnegative and below 0x110000")
         order = sum(deriv)
         # +1 for an underived h, -1 for h^-1, 2 otherwise: two adjacent
         # letters cancel exactly when their signs sum to zero
@@ -203,13 +207,15 @@ class Letter:
         else:
             sign = 2
         let = object.__new__(cls)
+        head = (KIND_RANK[kind], axis or 0)
         for name, value in (
             ("kind", kind),
             ("deriv", deriv),
             ("axis", axis),
             ("order", order),
             ("_sign", sign),
-            ("_key", (KIND_RANK[kind], axis or 0, deriv)),
+            ("_key", (*head, deriv)),
+            ("_code", "".join(map(chr, head + deriv))),
             ("_up", [None] * len(deriv)),
         ):
             object.__setattr__(let, name, value)

@@ -9,6 +9,11 @@ integer per dimension, a term's ``m`` is an integer, and a scalar's
 ``num``, ``den`` and ``pi`` are integers (bool refused everywhere) with
 ``den`` nonzero.  Anything else raises ``ValueError``.
 
+Within one emitted polynomial or trace expression, equal letters share
+one JSON dict, so a large residue allocates a dict per distinct letter
+rather than per letter, and the garbage collector has that much less to
+walk.
+
 An assignment's atoms travel under the names ``Assignment.atoms`` uses,
 "h", "T1".."Td" and "X", sorted by their lower-cased names (h, T1, T10,
 T2, ..., X).
@@ -66,8 +71,10 @@ def letter_from_json(obj: dict, d: int) -> Letter:
     return Letter(obj["base"], _integers(obj["deriv"], d, "letter deriv"), obj.get("axis"))
 
 
-def _word_to_json(word: Word) -> list:
-    return [letter_to_json(let) for let in word]
+def _word_to_json(word: Word, shared: dict) -> list:
+    """The word's letters as JSON dicts, each built once into ``shared``,
+    which every word of one emitted value shares."""
+    return [shared.get(let) or shared.setdefault(let, letter_to_json(let)) for let in word]
 
 
 def _word_from_json(items: list, d: int) -> tuple[Letter, ...]:
@@ -76,10 +83,10 @@ def _word_from_json(items: list, d: int) -> tuple[Letter, ...]:
 
 def poly_to_json(p: NCPoly) -> dict:
     """Rational coefficients in the scalar shape, with ``"pi": 0``."""
-    terms = []
+    terms, shared = [], {}
     for word in sorted(p.terms, key=word_sort_key):
         terms.append(
-            {"coef": scalar_to_json(Scalar(p.terms[word])), "word": _word_to_json(word)}
+            {"coef": scalar_to_json(Scalar(p.terms[word])), "word": _word_to_json(word, shared)}
         )
     return {"terms": terms}
 
@@ -96,12 +103,12 @@ def poly_from_json(obj: dict, d: int) -> NCPoly:
 
 
 def trace_expression_to_json(e: TraceExpression) -> dict:
-    terms = []
-    for tw in sorted(e.terms, key=lambda t: word_sort_key(t.word)):
+    terms, shared = [], {}
+    for tw in sorted(e.terms, key=word_sort_key):
         terms.append(
             {
                 "coef": scalar_to_json(e.terms[tw]),
-                "word": _word_to_json(tw.word),
+                "word": _word_to_json(tw, shared),
                 "trace": True,
             }
         )

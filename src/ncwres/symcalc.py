@@ -19,12 +19,16 @@ dropping total degree by exactly one.  The composition product expands
 with the coefficients of P kept to the left.  ``gamma_pairs`` is its one
 expansion: it walks gamma depth first and yields (1/gamma!, m1, c1, m2,
 c2) for every monomial pair of d_xi^gamma P and delta^gamma Q whose degree
-lies in a band lo..hi, pruning what can no longer reach lo.  ``compose``
+lies in a band lo..hi, pruning what can no longer reach lo.  An optional
+pair weight scales each pair and drops those it sends to 0, and then the
+walk derives no leaf of the deepest order whose pairs all weigh 0; the
+residue pass weights by sphere moments, and ``compose`` passes none,
+so it sees every pair.  ``compose``
 multiplies those pairs into one ``ncalg.WordSum`` per monomial, as
 ``Symbol.pointwise_mul`` does with the plain pairs; the sum reads each
 coefficient ``NCPoly``'s integer numerators as they are stored, so no
 coefficient is converted.  The residue pass in ``wres`` sums all the
-pairs, weighted by their sphere moments, into a single ``WordSum``.
+moment-weighted pairs into a single ``WordSum``.
 
 The reference routes, ``parametrix.closed_forms`` and the oracle's
 ``gamma_sum_evaluation``, share no walk with ``gamma_pairs``: each
@@ -41,15 +45,17 @@ from .ncalg import Combination, Frozen, NCPoly, WordSum, _accumulate, _bump, for
 
 
 class XiMonomial(Frozen):
-    """xi^alpha |xi|^(2m)."""
+    """xi^alpha |xi|^(2m), with its degree |alpha| + 2m stored: every pair
+    of a symbol product reads it.  Equality, hashing, pickling and the
+    repr stay on (alpha, m)."""
 
-    __slots__ = ("alpha", "m")
+    __slots__ = ("alpha", "m", "degree")
 
     def __init__(self, alpha: tuple[int, ...], m: int = 0):
         if any(a < 0 for a in alpha):
             raise ValueError("xi exponents must be nonnegative")
         # the base named directly, as in Scalar: one call per product pair
-        Frozen.__init__(self, alpha, m)
+        Frozen.__init__(self, alpha, m, sum(alpha) + 2 * m)
 
     # written out rather than read through _fields: every pair of a
     # symbol product looks its monomial up in a dict
@@ -61,9 +67,11 @@ class XiMonomial(Frozen):
     def __hash__(self) -> int:
         return hash((self.alpha, self.m))
 
-    @property
-    def degree(self) -> int:
-        return sum(self.alpha) + 2 * self.m
+    def __reduce__(self):
+        return (XiMonomial, (self.alpha, self.m))
+
+    def __repr__(self) -> str:
+        return f"XiMonomial(alpha={self.alpha!r}, m={self.m!r})"
 
     def eval(self, xi) -> float:
         out = 1.0
@@ -191,10 +199,12 @@ def _sum_pairs(d: int, pairs) -> Symbol:
     return Symbol._trusted(d, {mono: coef for mono, coef in sums.items() if coef})
 
 
-def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):
-    """Yield (1/gamma!, m1, c1, m2, c2) for every monomial pair of
-    d_xi^gamma P and delta^gamma Q with degree in lo..hi (no upper cut when
-    hi is None), gamma by gamma, then pair by pair in the symbols' order.
+def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None, weight=None):
+    """Yield (c, m1, c1, m2, c2) for every monomial pair of d_xi^gamma P and
+    delta^gamma Q with degree in lo..hi (no upper cut when hi is None),
+    gamma by gamma, then pair by pair in the symbols' order.  c is
+    1/gamma!, times ``weight(m1, m2)`` when a weight is given; a pair of
+    weight 0 is then not yielded.
 
     Gamma is walked depth first on one stack: a child steps along an axis
     a no larger than its parent's smallest nonzero one, so each gamma is
@@ -202,6 +212,11 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):
     lo - maxdeg(q) and q-monomials below lo - maxdeg(p) + g can no longer
     reach the band (d_xi lowers the degree by one, delta keeps it), so
     both are dropped before deriving; a child left empty is not walked.
+    A child's d_xi is formed before its delta.  At the deepest order,
+    |gamma| = maxdeg(p) + maxdeg(q) - lo, a child has no children and
+    every pair it holds has degree lo, and one none of whose pairs has a
+    nonzero weight is not derived: its d_xi monomials are paired with its
+    parent's delta monomials, which hold every one of its own.
     """
     p._check(q)
     d = p.d
@@ -216,17 +231,25 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None):
         for m1, c1 in dp.terms.items():
             d1 = m1.degree
             for m2, c2 in dq.terms.items():
-                if lo <= d1 + m2.degree <= hi:
+                if not lo <= d1 + m2.degree <= hi:
+                    continue
+                if weight is None:
                     yield inv, m1, c1, m2, c2
+                elif w := weight(m1, m2):
+                    yield inv * w, m1, c1, m2, c2
+        order = sum(gamma)
+        leaf = weight is not None and order + 1 == top_p + top_q - lo
         # d_xi lowers every degree by one, so cut before deriving
         dp = dp.truncate_below(p_floor + 1)
-        dq = dq.truncate_below(q_floor + sum(gamma) + 1)
+        dq = dq.truncate_below(q_floor + order + 1)
         for axis in range(1, top + 1):
-            child_q = dq.derive(axis)
-            if child_q.is_zero():
-                continue
             child_p = dp.partial_xi(axis)
             if child_p.is_zero():
+                continue
+            if leaf and not any(weight(m1, m2) for m1 in child_p.terms for m2 in dq.terms):
+                continue
+            child_q = dq.derive(axis)
+            if child_q.is_zero():
                 continue
             k = gamma[axis - 1] + 1
             stack.append((child_p, child_q, inv / k, _bump(gamma, axis), axis))

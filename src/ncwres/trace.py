@@ -13,10 +13,21 @@ drive this module:
 A ``TraceWord`` is that canonical representative, a tuple of letters
 that compares and hashes as a tuple, so equal cyclic classes give equal
 words.  It keeps no table: a word lives as long as the expressions and
-systems that hold it.  ``_cycle`` is the one map from a raw word to its
-trace word, taken to the commutative quotient first when asked, and
-``_cycles`` the one loop that sums (raw word, value) pairs into trace
-words.
+systems that hold it.  ``_commutative_cycle`` takes a raw word to the
+commutative quotient first, and ``_cycles`` is the one loop that sums
+(raw word, value) pairs into trace words.
+
+``canonical_cycle`` normalizes, cancels across the ends, then takes the
+least rotation.  That last step reads letter codes: each letter's
+``_code`` is its sort key as a string, so a rotation is a slice of the
+word's doubled code string and costs one string compare.  Callers whose
+words are already normal enter after the normalize step: ``trace``
+reads an ``NCPoly``, which stores normal words, so it only unwraps and
+rotates; the words of a relation derive a trace word, and a derivation
+cancels no letter, so they are only rotated; a lowering cancels only
+where a lowered h meets an h^-1, so it is joined at the lowered letter
+instead of normalized whole, then unwrapped and rotated.  The commutative
+quotient and ``TraceWord(word)`` on a raw word take the whole path.
 
 Relations are generated by need: each explored word with one exponent
 along axis b lowered is a generator g of the one relation t(d_b(g)) = 0.
@@ -55,6 +66,7 @@ from .ncalg import (
     _accumulate,
     _bump,
     _cancels,
+    _join,
     _signed_sum,
     commutative_word,
     format_scalar,
@@ -64,22 +76,38 @@ from .ncalg import (
 )
 
 
+def _unwrapped(w: Word) -> Word:
+    """A normal word with the underived h/h^-1 pairs that meet across its
+    ends cancelled: the word is a cycle, so its first and last letters
+    are adjacent."""
+    while len(w) >= 2 and _cancels(w[-1], w[0]):
+        w = w[1:-1]
+    return w
+
+
+def _least_rotation(w: Word) -> "TraceWord":
+    """The least rotation of a normal, cyclically reduced word, as a trace
+    word.  A rotation is a slice of the doubled code string at a letter
+    boundary; codes of one dimension share one length and order as the
+    letters' keys, so the slices compare as the rotations' key tuples do,
+    one string compare each."""
+    n = len(w)
+    if n > 1:
+        doubled = "".join([let._code for let in w]) * 2
+        size = len(doubled) // 2
+        rotations = [doubled[k : k + size] for k in range(0, size, size // n)]
+        i = rotations.index(min(rotations))
+        w = w[i:] + w[:i]
+    return tuple.__new__(TraceWord, w)
+
+
 def canonical_cycle(word: Iterable[Letter]) -> Word:
     """Canonical representative of a word under cyclic equivalence.
 
     Linear normalization first, then wrap-around cancellation of underived
-    h/h^-1 pairs (the word is a cycle, so first and last letters are
-    adjacent), then the lexicographically minimal rotation.
+    h/h^-1 pairs, then the lexicographically minimal rotation.
     """
-    w = list(normalize_word(tuple(word)))
-    while len(w) >= 2 and _cancels(w[-1], w[0]):
-        w = w[1:-1]
-    if not w:
-        return ()
-    keys = [let.sort_key() for let in w]
-    n = len(w)
-    best = min(range(n), key=lambda i: keys[i:] + keys[:i])
-    return tuple(w[best:] + w[:best])
+    return _least_rotation(_unwrapped(normalize_word(word)))
 
 
 class TraceWord(tuple):
@@ -95,7 +123,7 @@ class TraceWord(tuple):
     __slots__ = ()
 
     def __new__(cls, word: Iterable[Letter]):
-        return tuple.__new__(cls, canonical_cycle(word))
+        return canonical_cycle(word)
 
     @property
     def word(self) -> Word:
@@ -107,14 +135,15 @@ class TraceWord(tuple):
 
 def pivot_key(tw: TraceWord):
     """Elimination order: reduce total order first, then the highest
-    single-letter order, then length, then an arbitrary stable key."""
+    single-letter order, then length, then the letters' codes, which
+    order as their key tuples do at equal length."""
     order = peak = 0
     for let in tw:
         n = let.order
         order += n
         if n > peak:
             peak = n
-    return (order, peak, len(tw), tuple(let._key for let in tw))
+    return (order, peak, len(tw), "".join([let._code for let in tw]))
 
 
 class TraceExpression(Combination):
@@ -131,12 +160,11 @@ class TraceExpression(Combination):
         return f"TraceExpression({self.d}, {format_trace_expression(self)!r})"
 
 
-def _cycle(d: int, commutative: bool, word: Word) -> TraceWord:
-    """The trace word of a raw word, taken to the commutative quotient
-    first when asked: the one place a raw word becomes a ``TraceWord``.
-    Callers bind ``d`` and ``commutative`` with ``partial``, positionally:
-    a keyword-bound partial builds a keyword dict on every call."""
-    return TraceWord(commutative_word(d, word) if commutative else word)
+def _commutative_cycle(d: int, word: Word) -> TraceWord:
+    """The trace word of a raw word's image in the commutative quotient.
+    Callers bind ``d`` with ``partial``, positionally: a keyword-bound
+    partial builds a keyword dict on every call."""
+    return TraceWord(commutative_word(d, word))
 
 
 def _cycles(items: Iterable[tuple[Word, object]], canon) -> dict:
@@ -149,13 +177,15 @@ def _cycles(items: Iterable[tuple[Word, object]], canon) -> dict:
 
 
 def trace(p: NCPoly) -> TraceExpression:
-    """Sum the numerators per trace word, then form one ``Fraction`` each."""
-    out = _cycles(p.num.items(), partial(_cycle, p.d, False))
+    """Sum the numerators per trace word, then form one ``Fraction`` each.
+    The words of an ``NCPoly`` are normal, so each is only unwrapped and
+    rotated."""
+    out = _cycles(p.num.items(), lambda w: _least_rotation(_unwrapped(w)))
     return TraceExpression._trusted(p.d, {tw: Scalar(Fraction(n, p.den)) for tw, n in out.items()})
 
 
 def commutative_image_expr(e: TraceExpression) -> TraceExpression:
-    image = _cycles(e.terms.items(), partial(_cycle, e.d, True))
+    image = _cycles(e.terms.items(), partial(_commutative_cycle, e.d))
     return TraceExpression._trusted(e.d, image)
 
 
@@ -223,19 +253,29 @@ class ReductionSystem(Echelon):
         self.cap_len = max((len(tw) for tw in seed_list), default=0) + 1
         self._seen_words = set(seed_list)
         self._seen_gens: set[tuple[TraceWord, int]] = set()
-        self._canon = partial(_cycle, d, commutative)
+        # the words of a relation and of a lowering are normal and
+        # cyclically reduced, so they only need their least rotation
+        self._canon = partial(_commutative_cycle, d) if commutative else _least_rotation
         queue = deque(seed_list)
         while queue:
             self._explore(queue.popleft(), queue)
 
     def _relation(self, gen: TraceWord, axis: int) -> dict[TraceWord, int]:
         """Row for t(d_axis(gen)) = 0, read off the numerators: a
-        relation holds at any nonzero scale."""
+        relation holds at any nonzero scale.  A derivation cancels no
+        letter, even across the ends, so the derived words of a trace word
+        are only rotated."""
         dp = NCPoly.from_word(self.d, gen).derive(axis)
         return _cycles(dp.num.items(), self._canon)
 
     def _lowerings(self, tw: TraceWord):
-        """Pairs (gen, b): ``tw`` with one axis-b exponent lowered, canonical."""
+        """Pairs (gen, b): ``tw`` with one axis-b exponent lowered, canonical.
+        Only a lowering to an underived h can cancel, with an h^-1 beside
+        it or across the ends: the lowered letter is joined to its two
+        normal sides, which cancels outward from a junction only, and
+        the word is unwrapped and rotated.  In commutative mode ``_canon``
+        is the whole commutative map, and dropping h/h^-1 pairs first
+        leaves the image as it is."""
         for i, let in enumerate(tw):
             if let.order == 0:
                 continue
@@ -243,7 +283,8 @@ class ReductionSystem(Echelon):
                 if let.deriv[b - 1] == 0:
                     continue
                 lowered = Letter(let.kind, _bump(let.deriv, b, -1), let.axis)
-                yield self._canon(tw[:i] + (lowered,) + tw[i + 1:]), b
+                word = _join(_join(tw[:i], (lowered,)), tw[i + 1:])
+                yield self._canon(_unwrapped(word)), b
 
     def _explore(self, tw: TraceWord, queue: deque):
         for pair in self._lowerings(tw):
@@ -270,7 +311,7 @@ def _vector(e: TraceExpression, commutative: bool) -> tuple[int, Vector]:
         raise ValueError(f"expression mixes pi powers {sorted(pis)}")
     vec = {tw: sc.q for tw, sc in e.terms.items()}
     if commutative:
-        vec = _cycles(vec.items(), partial(_cycle, e.d, True))
+        vec = _cycles(vec.items(), partial(_commutative_cycle, e.d))
     return (pis.pop() if pis else 0), vec
 
 

@@ -20,9 +20,11 @@ products F_1 # ... # F_(k-1) are formed by ``symcalc.compose``, each
 cut below at -d minus the top degrees of the factors still to come, the
 lowest degree that can still reach -d.  The last product is never
 formed.  The reader visits its monomial pairs from
-``symcalc.gamma_pairs`` of degree ``-d``, multiplies a pair only if the
-table gives its summed alpha a nonzero moment, weights it by that
-rational, and sums every pair into one ``ncalg.WordSum``, exact integer
+``symcalc.gamma_pairs`` of degree ``-d``, with the table's moment of
+their summed alpha as the pair weight: the walk drops a pair of zero
+moment before multiplying it, derives no leaf of the deepest gamma order
+whose pairs all have zero moment, and weights the rest by that
+rational.  Every kept pair goes into one ``ncalg.WordSum``, exact integer
 numerators over one denominator, read straight from each coefficient's
 own numerators.  The result is a rational polynomial whose trace times
 pi^(d/2) is the residue, and it is traced once.
@@ -113,10 +115,12 @@ def _residue_coefficient(
     reach the band beside F_(j+1), ..., F_k: those at or above the band
     minus the sum of their ``max_degree()``, so F_3, ..., F_k must be
     nonzero.  The last product, (F_1 # ... # F_(k-1)) # F_k, is never
-    formed: every pair of it with a nonzero moment in the table
-    (overrides included) goes into one ``WordSum``, weighted by 1/gamma!
-    times that moment.  The pair loop multiplies integers only, and the
-    sum becomes one ``NCPoly``, multiplied by the tail's coefficient.
+    formed: its walk, ``gamma_pairs``, takes the table's moment as the
+    pair weight, so every pair with a nonzero moment (overrides
+    included) goes into one ``WordSum``, weighted by 1/gamma! times that
+    moment, and no leaf whose pairs all have zero moment is derived.
+    The pair loop multiplies integers only, and the sum becomes one
+    ``NCPoly``, multiplied by the tail's coefficient.
     """
     d = factors[0].d
     table = SphereIntegralTable(d) if table is None else table
@@ -129,12 +133,13 @@ def _residue_coefficient(
     while len(rest) > 1:
         f, *rest = rest
         s = compose(s, f, band - sum(g.max_degree() for g in rest))
-    moment = table.get
+
+    def moment(m1: XiMonomial, m2: XiMonomial) -> Fraction:
+        return table.get(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
+
     words = WordSum()
-    for inv, m1, c1, m2, c2 in gamma_pairs(s, rest[0], band, band):
-        m = moment(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
-        if m:
-            words.add_product(c1, c2, inv * m)
+    for c, m1, c1, m2, c2 in gamma_pairs(s, rest[0], band, band, moment):
+        words.add_product(c1, c2, c)
     coef = words.poly(d)
     return coef if right is None else coef * right
 

@@ -313,6 +313,41 @@ def test_gamma_pairs_match_the_full_gamma_sum(seed):
             assert _pair_multiset(gamma_pairs(left, right, lo, hi)) == want
 
 
+def _even_weight(m1, m2):
+    # zero when the summed alpha has an odd entry, as a sphere moment is,
+    # and a different nonzero value otherwise
+    alpha = [a + b for a, b in zip(m1.alpha, m2.alpha)]
+    return Fraction(0) if any(a % 2 for a in alpha) else Fraction(1 + sum(alpha), 3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weighted_gamma_pairs_are_the_nonzero_weighted_pairs(seed, monkeypatch):
+    # a weight scales each pair and drops those it sends to 0, and the leaf
+    # cut loses none of the others; a weight that is 0 everywhere yields
+    # nothing and derives no leaf
+    rng = np.random.default_rng(seed)
+    p, q = _mixed_symbol(rng, 1), _mixed_symbol(rng, 0)
+    calls, real = [], NCPoly.derive
+    derives = Counter()
+    for left, right in ((p, q), (q, p)):
+        for lo, hi in ((-3, None), (-3, -2), (-2, -2)):
+            pairs = _reference_pairs(left, right, lo, hi)
+            want = _pair_multiset(
+                (inv * _even_weight(m1, m2), m1, c1, m2, c2)
+                for inv, m1, c1, m2, c2 in pairs
+                if _even_weight(m1, m2)
+            )
+            assert want and _pair_multiset(gamma_pairs(left, right, lo, hi, _even_weight)) == want
+            monkeypatch.setattr(NCPoly, "derive", lambda s, axis: calls.append(axis) or real(s, axis))
+            for weight in (lambda m1, m2: 0, None):
+                calls.clear()
+                yielded = list(gamma_pairs(left, right, lo, hi, weight))
+                assert bool(yielded) == (weight is None)
+                derives[weight is None] += len(calls)
+            monkeypatch.undo()
+    assert derives[False] < derives[True]
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_parametrix_order_three_defect_vanishes(side):
     spec = OperatorSpec(d=4, include_t=True, include_x=True)

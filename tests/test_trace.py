@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncwres.trace as trace_module
-from ncwres.ncalg import Algebra, Letter, NCPoly, Scalar, normalize_word
+from ncwres.ncalg import Algebra, Letter, NCPoly, Scalar, _accumulate, normalize_word
 from ncwres.trace import (
     Echelon,
     ReductionSystem,
@@ -47,6 +48,121 @@ def test_canonical_cycle_wraparound_cancellation():
     assert canonical_cycle((HI, X, H)) == (X,)
     assert canonical_cycle((H, DH, HI)) == (DH,)
     assert canonical_cycle((H, HI)) == ()
+
+
+def _random_word(d: int, rng: random.Random) -> tuple:
+    """A word over h, h^-1, derived h, T_a (derived or not) and X, made
+    to be periodic, to cancel to (), or to cancel across its ends."""
+    zero = (0,) * d
+
+    def derived():
+        return tuple(rng.choice((0, 0, 1, 2)) for _ in range(d))
+
+    h, hinv = Letter("H", zero), Letter("Hinv", zero)
+    pool = [h, h, hinv, hinv, Letter("X", zero), Letter("X", derived())]
+    pool += [Letter("H", derived()), h.derived(rng.randint(1, d)), h.derived(rng.randint(1, d))]
+    pool += [Letter("T", derived(), rng.randint(1, d)) for _ in range(2)]
+    core = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+    shape = rng.randrange(4)
+    if shape == 1:  # periodic
+        core = core[:3] * rng.randint(2, 3)
+    elif shape == 2:  # h^k h^-k, rotated: cancels to ()
+        k = rng.randint(1, 3)
+        core = (h,) * k + (hinv,) * k
+    elif shape == 3:  # h^-k ... h^k: cancels across the ends
+        k = rng.randint(1, 2)
+        core = (hinv,) * k + core + (h,) * k
+    i = rng.randrange(len(core) + 1)
+    return core[i:] + core[:i]
+
+
+def _reference_cycle(word) -> tuple:
+    """Brute force: normalize, cancel across the ends, then the least of
+    all rotations compared as tuples of letter keys."""
+    w = list(normalize_word(tuple(word)))
+    cancel = lambda a, b: {a.kind, b.kind} == {"H", "Hinv"} and a.order == b.order == 0
+    while len(w) >= 2 and cancel(w[-1], w[0]):
+        w = w[1:-1]
+    rotations = [tuple(w[i:] + w[:i]) for i in range(len(w))] or [()]
+    return min(rotations, key=lambda r: tuple(let._key for let in r))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_canonical_cycle_matches_a_brute_force_reference(d):
+    rng = random.Random(d)
+    seen = {"periodic": 0, "empty": 0, "wrap": 0}
+    for _ in range(400):
+        word = _random_word(d, rng)
+        want = _reference_cycle(word)
+        assert canonical_cycle(word) == want
+        assert type(TraceWord(word)) is TraceWord and TraceWord(word) == want
+        n = len(want)
+        seen["periodic"] += any(n % k == 0 and want == want[k:] + want[:k] for k in range(1, n))
+        seen["empty"] += bool(word) and not want
+        seen["wrap"] += len(want) < len(normalize_word(word))
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_reduction_canonicalizes_lowerings_and_relations_in_full(d):
+    # _lowerings joins the lowered letter to its sides instead of
+    # normalizing the word, and _relation only rotates: both, and trace,
+    # must give the brute-force trace words
+    rng = random.Random(100 + d)
+    system = ReductionSystem(d, [])
+    met = {"inside": 0, "across": 0}
+    for _ in range(300):
+        tw = TraceWord(_random_word(d, rng))
+        want = []
+        for i, let in enumerate(tw):
+            for b in range(1, d + 1):
+                if not let.deriv[b - 1]:
+                    continue
+                deriv = tuple(n - (k == b - 1) for k, n in enumerate(let.deriv))
+                lowered = Letter(let.kind, deriv, let.axis)
+                want.append((_reference_cycle(tw[:i] + (lowered,) + tw[i + 1:]), b))
+                if lowered.kind == "H" and not lowered.order:
+                    ends = (i == 0 and tw[-1].kind == "Hinv") or (
+                        i == len(tw) - 1 and tw[0].kind == "Hinv"
+                    )
+                    met["across"] += ends
+                    met["inside"] += "Hinv" in (tw[i - 1].kind, tw[(i + 1) % len(tw)].kind)
+        got = list(system._lowerings(tw))
+        assert got == want
+        for gen, b in got:
+            ref: dict = {}
+            for w, n in NCPoly.from_word(d, gen).derive(b).num.items():
+                _accumulate(ref, _reference_cycle(w), n)
+            assert system._relation(gen, b) == ref
+        p = NCPoly.from_word(d, tw) + NCPoly.from_word(d, _random_word(d, rng), 3)
+        ref = {}
+        for w, q in p.terms.items():
+            _accumulate(ref, _reference_cycle(w), Scalar(q))
+        assert trace(p).terms == ref
+    assert min(met.values()) >= 10, met
+
+
+def test_letter_codes_order_as_keys():
+    entries = {1: (0, 1, 2, 0xD800, 0xFFFF, 0x10FFFF), 2: (0, 1, 2, 0x10FFFF), 3: (0, 1)}
+    sample = []
+    for d, values in entries.items():
+        for deriv in product(values, repeat=d):
+            sample += [Letter("H", deriv), Letter("X", deriv)]
+            sample += [Letter("T", deriv, axis) for axis in range(1, d + 1)]
+        sample.append(Letter("Hinv", (0,) * d))
+    for a in sample:
+        assert len(a._code) == 2 + len(a.deriv)
+        for b in sample:
+            assert (a._code < b._code, a._code == b._code) == (a._key < b._key, a._key == b._key)
+
+
+def test_an_exponent_past_chr_is_refused():
+    # a letter code holds one character per exponent, so an exponent of
+    # 0x110000 or more is refused when the letter is built
+    with pytest.raises(ValueError, match="below 0x110000"):
+        Letter("H", (0x110000, 0))
+    assert ("H", (0x110000, 0), None) not in Letter._interned
+    assert Letter("T", (0x10FFFF, 0), 2)._code == "\x02\x02\U0010ffff\x00"
 
 
 def test_trace_words_are_interned():

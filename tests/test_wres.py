@@ -426,6 +426,21 @@ def test_fused_residue_reads_the_callers_table(make_table, d, power):
     assert got != wres_inverse_power(spec, power)
 
 
+def test_residue_walk_derives_no_leaf_without_a_moment(monkeypatch):
+    # at the deepest gamma order of the last product, a child whose pairs
+    # all have a zero moment is not derived: the gammas e_a + e_b with a
+    # != b at (6,2); the walk derived 150 and 156 polynomials before
+    calls = []
+    real = NCPoly.derive
+    monkeypatch.setattr(NCPoly, "derive", lambda s, axis: calls.append(axis) or real(s, axis))
+    counts = []
+    for torsion in (False, True):
+        calls.clear()
+        wres_inverse_power(OperatorSpec(d=6, include_t=torsion), 2)
+        counts.append(len(calls))
+    assert counts == [120, 126]
+
+
 @pytest.mark.parametrize(
     "spec, power",
     [
