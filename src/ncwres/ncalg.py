@@ -163,7 +163,12 @@ class Letter:
     so equality and hashing are identity, which Python runs in C.  Derived
     data is computed once per letter: ``order`` (the total derivative
     order), the cancellation sign, the sort key, its code and, filled in
-    on first use, the letter's derivative along each axis.  The code is
+    on first use, two tables: the letter derived once along each axis
+    (``_up``) and lowered once along each axis (``_down``), so a caller
+    that walks letters takes interned neighbours without the argument
+    checks of the constructor.  h^-1 is never derived: its ``_up`` holds,
+    filled at interning, d(h) along each axis, the letter that
+    d(h^-1) = -h^-1 d(h) h^-1 puts between two h^-1.  The code is
     the key as a string, one character per entry (``chr`` of the kind
     rank, the axis and each exponent), so codes compare as keys do and
     all codes of one dimension have one length; an exponent past
@@ -171,7 +176,7 @@ class Letter:
     long as the process and holds one entry per distinct letter made.
     """
 
-    __slots__ = ("kind", "deriv", "axis", "order", "_sign", "_key", "_code", "_up")
+    __slots__ = ("kind", "deriv", "axis", "order", "_sign", "_key", "_code", "_up", "_down")
     _interned: dict = {}
 
     def __new__(cls, kind: str, deriv: tuple[int, ...], axis: int | None = None):
@@ -200,8 +205,10 @@ class Letter:
         order = sum(deriv)
         # +1 for an underived h, -1 for h^-1, 2 otherwise: two adjacent
         # letters cancel exactly when their signs sum to zero
+        up = [None] * len(deriv)
         if kind == "Hinv":
             sign = -1
+            up = [Letter("H", deriv).derived(a) for a in range(1, len(deriv) + 1)]
         elif kind == "H" and not order:
             sign = 1
         else:
@@ -216,7 +223,8 @@ class Letter:
             ("_sign", sign),
             ("_key", (*head, deriv)),
             ("_code", "".join(map(chr, head + deriv))),
-            ("_up", [None] * len(deriv)),
+            ("_up", up),
+            ("_down", [None] * len(deriv)),
         ):
             object.__setattr__(let, name, value)
         # setdefault is atomic, so racing threads still share one object
@@ -240,12 +248,22 @@ class Letter:
 
     def derived(self, axis: int) -> "Letter":
         """The letter derived once along the 1-based ``axis``."""
+        if self.kind == "Hinv":
+            raise ValueError("derived inverse must be expanded, not stored")
+        return self._moved(self._up, axis, 1)
+
+    def lowered(self, axis: int) -> "Letter":
+        """The letter with one derivative along the 1-based ``axis`` taken
+        off; an exponent of 0 there raises."""
+        return self._moved(self._down, axis, -1)
+
+    def _moved(self, table: list, axis: int, step: int) -> "Letter":
         if not 1 <= axis <= len(self.deriv):
             raise ValueError(f"axis {axis} out of range for d={len(self.deriv)}")
-        up = self._up[axis - 1]
-        if up is None:
-            up = self._up[axis - 1] = Letter(self.kind, _bump(self.deriv, axis), self.axis)
-        return up
+        let = table[axis - 1]
+        if let is None:
+            let = table[axis - 1] = Letter(self.kind, _bump(self.deriv, axis, step), self.axis)
+        return let
 
 
 Word = tuple[Letter, ...]
@@ -509,19 +527,22 @@ class NCPoly(Combination):
     def derive(self, axis: int) -> "NCPoly":
         """Apply the direction-``axis`` derivation by the Leibniz rule.  The
         new words are normal: a derived letter cancels with nothing, and
-        h^-1 d(h) h^-1 keeps the neighbours h^-1 had.  An axis outside 1..d
-        raises from ``Letter.derived``, which forms d(h) first."""
-        dh = Letter("H", (0,) * self.d).derived(axis)
+        h^-1 d(h) h^-1 keeps the neighbours h^-1 had.  Each letter's
+        ``_up`` table gives its derivative, and for h^-1 the d(h) to
+        insert, so no letter is constructed once the tables are filled."""
+        if not 1 <= axis <= self.d:
+            raise ValueError(f"axis {axis} out of range for d={self.d}")
         k = axis - 1
         out: dict[Word, int] = {}
         get = out.get
         for word, n in self.num.items():
             for i, let in enumerate(word):
+                up = let._up[k] or let.derived(axis)
                 if let.kind == "Hinv":
-                    new = word[:i] + (let, dh, let) + word[i + 1:]
+                    new = word[:i] + (let, up, let) + word[i + 1:]
                     out[new] = get(new, 0) - n
                 else:
-                    new = word[:i] + (let._up[k] or let.derived(axis),) + word[i + 1:]
+                    new = word[:i] + (up,) + word[i + 1:]
                     out[new] = get(new, 0) + n
         return NCPoly._trusted(self.d, out, self.den)
 

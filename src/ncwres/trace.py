@@ -32,7 +32,10 @@ quotient and ``TraceWord(word)`` on a raw word take the whole path.
 Relations are generated by need: each explored word with one exponent
 along axis b lowered is a generator g of the one relation t(d_b(g)) = 0.
 The expression's words are explored first, then new words met inside
-relations while they stay within the length cap.  Relations are
+relations while they stay within the length cap.  Many explored words
+share a lowering, and equal joined words have equal canonical forms, so
+a system keeps every lowering it has met, joined but not rotated, and
+rotates one only the first time.  Relations are
 homogeneous in a word's block (per-axis derivative multidegree, T axes,
 net h power, X count), and one that holds a word u is built from u, its
 g being u lowered along its b: exploration keeps to the seeds' blocks and,
@@ -40,7 +43,10 @@ the cap aside, drops only relations that never meet a seed.
 Each relation pivots on its largest word under ``pivot_key``, and a word
 reduces to the one combination, equal modulo the relations, that holds
 no pivot.  That form depends only on the span of the relations, not on
-the order in which they were found.
+the order in which they were found or the scale at which they are
+stored: ``Echelon`` keeps each row as coprime integers and eliminates on
+integer numerators over one denominator, so a reduction forms no
+``Fraction`` until its result, one per surviving word.
 
 The reduction works on rational vectors: an expression enters as its one
 pi power and the rationals of its words, and an expression whose terms
@@ -176,12 +182,14 @@ def _cycles(items: Iterable[tuple[Word, object]], canon) -> dict:
     return out
 
 
-def trace(p: NCPoly) -> TraceExpression:
-    """Sum the numerators per trace word, then form one ``Fraction`` each.
-    The words of an ``NCPoly`` are normal, so each is only unwrapped and
-    rotated."""
+def trace(p: NCPoly, pi: int = 0) -> TraceExpression:
+    """The trace of ``p`` times pi^``pi``: sum the numerators per trace
+    word, then form one ``Scalar`` each.  The words of an ``NCPoly`` are
+    normal, so each is only unwrapped and rotated."""
     out = _cycles(p.num.items(), lambda w: _least_rotation(_unwrapped(w)))
-    return TraceExpression._trusted(p.d, {tw: Scalar(Fraction(n, p.den)) for tw, n in out.items()})
+    return TraceExpression._trusted(
+        p.d, {tw: Scalar(Fraction(n, p.den), pi) for tw, n in out.items()}
+    )
 
 
 def commutative_image_expr(e: TraceExpression) -> TraceExpression:
@@ -194,25 +202,31 @@ def commutative_image_expr(e: TraceExpression) -> TraceExpression:
 
 
 class Echelon:
-    """Sparse row echelon form over the rationals.
+    """Sparse row echelon form over the rationals, kept in integers.
 
-    ``key`` totally orders the columns.  Each row is stored under its
-    pivot, its largest column, which it maps to 1; every other column of
-    the row sorts below the pivot and may be another row's pivot.  A
-    stored row is never rewritten.
+    ``key`` totally orders the columns; each column's key is computed
+    once per system and kept in ``_keys``.  Each row is stored under its
+    pivot, its largest column, as coprime integers with a positive
+    pivot entry; every other column of the row sorts below the pivot and
+    may be another row's pivot.  A stored row is never rewritten.
     """
 
     def __init__(self, key):
         self.key = key
         # pivot -> row
         self.rows: dict = {}
+        self._keys: dict = {}
 
-    def reduce_vector(self, vec: dict) -> dict:
-        """The one vector equal to ``vec`` modulo the rows with no pivot
-        column.  Pivots go from the largest key down: eliminating one
-        brings in only columns below it, so none comes back."""
+    def _eliminate(self, vec: dict) -> tuple[dict, int]:
+        """``vec`` reduced modulo the rows, as integer numerators over one
+        denominator.  Pivots go from the largest key down: eliminating one
+        brings in only columns below it, so none comes back.  At a pivot
+        of entry p whose column holds a, a/p is a'/p' in lowest terms: the
+        row is taken a' times, and the other entries and the denominator
+        are scaled by p' only when p' is not 1."""
         rows = self.rows
-        out = {u: q for u, q in vec.items() if q}
+        den = lcm(*(q.denominator for q in vec.values()))
+        out = {u: q.numerator * (den // q.denominator) for u, q in vec.items() if q}
         # every pivot the elimination can meet, each queued once
         todo = [u for u in out if u in rows]
         queued = set(todo)
@@ -221,30 +235,54 @@ class Echelon:
                 if w in rows and w not in queued:
                     queued.add(w)
                     todo.append(w)
-        for u in sorted(todo, key=self.key, reverse=True):
-            q = out.pop(u, None)
-            if q is None:
+        for u in sorted(todo, key=self._keys.__getitem__, reverse=True):
+            a = out.pop(u, None)
+            if a is None:
                 continue
-            for w, c in rows[u].items():
+            row = rows[u]
+            p = row[u]
+            g = gcd(a, p)
+            if g != p:
+                p //= g
+                den *= p
+                for w in out:
+                    out[w] *= p
+            a //= g
+            for w, c in row.items():
                 if w != u:
-                    _accumulate(out, w, -q * c)
-        return out
+                    _accumulate(out, w, -a * c)
+        return out, den
+
+    def reduce_vector(self, vec: dict) -> dict:
+        """The one vector equal to ``vec`` modulo the rows with no pivot
+        column, one ``Fraction`` per column."""
+        out, den = self._eliminate(vec)
+        return {u: Fraction(n, den) for u, n in out.items()}
 
     def insert(self, row: dict):
         """Add a row; return its pivot, or None if it reduced to zero."""
-        row = self.reduce_vector(row)
+        row, _ = self._eliminate(row)
         if not row:
             return None
-        pivot = max(row, key=self.key)
-        inv = Fraction(1) / row[pivot]
-        self.rows[pivot] = {u: c * inv for u, c in row.items()}
+        keys = self._keys
+        for u in row:
+            if u not in keys:
+                keys[u] = self.key(u)
+        pivot = max(row, key=keys.__getitem__)
+        g = gcd(*row.values())
+        if row[pivot] < 0:
+            g = -g
+        self.rows[pivot] = {u: n // g for u, n in row.items()}
         return pivot
 
 
 class ReductionSystem(Echelon):
     """Row echelon form of the integration-by-parts relations reachable
     from a set of seed words: a lowering is derived back along its own
-    axis only, which keeps every row in a seed's block."""
+    axis only, which keeps every row in a seed's block.  ``_met`` holds
+    every lowering met, joined but not rotated, and ``_seen_gens`` every
+    canonical generator: a lowering is rotated only the first time it is
+    met, and a relation is built only for a new generator."""
 
     def __init__(self, d: int, seeds: Iterable[TraceWord], commutative: bool = False):
         super().__init__(pivot_key)
@@ -252,6 +290,7 @@ class ReductionSystem(Echelon):
         seed_list = list(dict.fromkeys(seeds))
         self.cap_len = max((len(tw) for tw in seed_list), default=0) + 1
         self._seen_words = set(seed_list)
+        self._met: set[tuple[Word, int]] = set()
         self._seen_gens: set[tuple[TraceWord, int]] = set()
         # the words of a relation and of a lowering are normal and
         # cyclically reduced, so they only need their least rotation
@@ -269,28 +308,36 @@ class ReductionSystem(Echelon):
         return _cycles(dp.num.items(), self._canon)
 
     def _lowerings(self, tw: TraceWord):
-        """Pairs (gen, b): ``tw`` with one axis-b exponent lowered, canonical.
-        Only a lowering to an underived h can cancel, with an h^-1 beside
-        it or across the ends: the lowered letter is joined to its two
-        normal sides, which cancels outward from a junction only, and
-        the word is unwrapped and rotated.  In commutative mode ``_canon``
-        is the whole commutative map, and dropping h/h^-1 pairs first
-        leaves the image as it is."""
+        """Pairs (word, b): ``tw`` with one axis-b exponent lowered, normal
+        and cyclically reduced but not rotated.  The lowered letter comes
+        from the letter's ``_down`` table.  Only a lowering to an
+        underived h can cancel, with an h^-1 beside it or across the
+        ends: the lowered letter is joined to its two normal sides, which
+        cancels outward from a junction only, and the word is unwrapped.
+        In commutative mode ``_canon`` is the whole commutative map, and
+        dropping h/h^-1 pairs first leaves the image as it is."""
         for i, let in enumerate(tw):
             if let.order == 0:
                 continue
             for b in range(1, self.d + 1):
                 if let.deriv[b - 1] == 0:
                     continue
-                lowered = Letter(let.kind, _bump(let.deriv, b, -1), let.axis)
-                word = _join(_join(tw[:i], (lowered,)), tw[i + 1:])
-                yield self._canon(_unwrapped(word)), b
+                lowered = let._down[b - 1] or let.lowered(b)
+                yield _unwrapped(_join(_join(tw[:i], (lowered,)), tw[i + 1:])), b
 
     def _explore(self, tw: TraceWord, queue: deque):
-        for pair in self._lowerings(tw):
-            if pair in self._seen_gens:
+        """Build the relation of each new generator among the lowerings of
+        ``tw``.  Equal joined words have equal canonical forms, so a
+        lowering met before is skipped before it is rotated."""
+        met, seen = self._met, self._seen_gens
+        for word, b in self._lowerings(tw):
+            if (word, b) in met:
                 continue
-            self._seen_gens.add(pair)
+            met.add((word, b))
+            pair = self._canon(word), b
+            if pair in seen:
+                continue
+            seen.add(pair)
             row = self._relation(*pair)
             for u in row:
                 if u not in self._seen_words and len(u) <= self.cap_len:

@@ -45,7 +45,7 @@ from math import factorial
 from operator import add
 
 from .parametrix import OperatorSpec, laplace_symbol, parametrix_series
-from .ncalg import NCPoly, Scalar, WordSum, _bump
+from .ncalg import NCPoly, WordSum, _bump
 from .symcalc import Symbol, XiMonomial, compose, gamma_pairs
 from .trace import TraceExpression, trace, trace_equal
 
@@ -119,8 +119,12 @@ def _residue_coefficient(
     pair weight, so every pair with a nonzero moment (overrides
     included) goes into one ``WordSum``, weighted by 1/gamma! times that
     moment, and no leaf whose pairs all have zero moment is derived.
+    The weight reads the table's cache before calling ``get``; an
+    override writes into that cache, so it still reaches the result.
     The pair loop multiplies integers only, and the sum becomes one
-    ``NCPoly``, multiplied by the tail's coefficient.
+    ``NCPoly``, multiplied by the tail's coefficient.  A caller that
+    reads several coefficients passes them one table, so each moment
+    is computed once.
     """
     d = factors[0].d
     table = SphereIntegralTable(d) if table is None else table
@@ -134,8 +138,12 @@ def _residue_coefficient(
         f, *rest = rest
         s = compose(s, f, band - sum(g.max_degree() for g in rest))
 
+    moments, get = table._moments, table.get
+
     def moment(m1: XiMonomial, m2: XiMonomial) -> Fraction:
-        return table.get(tuple(map(add, map(add, m1.alpha, m2.alpha), shift)))
+        alpha = tuple(map(add, map(add, m1.alpha, m2.alpha), shift))
+        m = moments.get(alpha)
+        return get(alpha) if m is None else m
 
     words = WordSum()
     for c, m1, c1, m2, c2 in gamma_pairs(s, rest[0], band, band, moment):
@@ -146,8 +154,9 @@ def _residue_coefficient(
 
 def _traced(coef: NCPoly) -> TraceExpression:
     """The residue whose rational coefficient is ``coef``: the one place
-    where a computed residue gets its pi^(d/2)."""
-    return trace(coef).scale(Scalar(1, coef.d // 2))
+    where a computed residue gets its pi^(d/2), attached as ``trace``
+    forms each trace word's ``Scalar``."""
+    return trace(coef, coef.d // 2)
 
 
 def wodzicki_residue(
@@ -183,7 +192,7 @@ def wres_inverse_power(
     taken pointwise, as its tail.  At power 1 the first is zero, since B'
     stops above degree -d, and costs one walk over B''s monomials.  The
     two rational coefficients are added and traced once.  No composition
-    defect is formed.
+    defect is formed.  Without a ``table`` the two walks share a new one.
 
     D <= 0 (the volume at power d/2, and any higher power) reads the
     product of b_0 alone, and an explicit ``n`` below D that of
@@ -195,6 +204,7 @@ def wres_inverse_power(
     if n is not None and (type(n) is not int or n < 0):
         raise ValueError(f"n must be None or a nonnegative int, not {n!r}")
     d = spec.d
+    table = SphereIntegralTable(d) if table is None else table
     deep = d - 2 * power
     a = laplace_symbol(spec)
     shallow = n is not None and n < deep

@@ -496,6 +496,34 @@ def test_derivative_table_rejects_inverse_and_bad_axis():
             Letter("H", (0, 0)).derived(axis)
 
 
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_lowered_table_gives_the_interned_letter(d):
+    rng = random.Random(d)
+    zero = (0,) * d
+    for _ in range(60):
+        kind = rng.choice(["H", "T", "X"])
+        deriv = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(d))
+        axis = rng.randint(1, d) if kind == "T" else None
+        let = Letter(kind, deriv, axis)
+        for b in range(1, d + 1):
+            if not deriv[b - 1]:
+                with pytest.raises(ValueError):
+                    let.lowered(b)
+                continue
+            down = let.lowered(b)
+            assert down is Letter(kind, _bump(deriv, b, -1), axis)
+            assert let._down[b - 1] is down and let.lowered(b) is down
+            assert down.derived(b) is let
+    for axis in (0, d + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            Letter("H", _bump(zero, 1)).lowered(axis)
+    # h^-1 is never derived or lowered: its derivative table holds d(h)
+    hinv = Letter("Hinv", zero)
+    assert hinv._up == [Letter("H", zero).derived(b) for b in range(1, d + 1)]
+    with pytest.raises(ValueError):
+        hinv.lowered(1)
+
+
 @given(letters)
 @settings(max_examples=100, deadline=None)
 def test_sort_key_is_unchanged(let):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -106,7 +107,8 @@ def test_canonical_cycle_matches_a_brute_force_reference(d):
 @pytest.mark.parametrize("d", [2, 4, 6, 8])
 def test_reduction_canonicalizes_lowerings_and_relations_in_full(d):
     # _lowerings joins the lowered letter to its sides instead of
-    # normalizing the word, and _relation only rotates: both, and trace,
+    # normalizing the word and leaves it unrotated, and _relation only
+    # rotates: each lowering, once rotated, and each relation and trace
     # must give the brute-force trace words
     rng = random.Random(100 + d)
     system = ReductionSystem(d, [])
@@ -127,7 +129,7 @@ def test_reduction_canonicalizes_lowerings_and_relations_in_full(d):
                     )
                     met["across"] += ends
                     met["inside"] += "Hinv" in (tw[i - 1].kind, tw[(i + 1) % len(tw)].kind)
-        got = list(system._lowerings(tw))
+        got = [(trace_module._least_rotation(w), b) for w, b in system._lowerings(tw)]
         assert got == want
         for gen, b in got:
             ref: dict = {}
@@ -140,6 +142,40 @@ def test_reduction_canonicalizes_lowerings_and_relations_in_full(d):
             _accumulate(ref, _reference_cycle(w), Scalar(q))
         assert trace(p).terms == ref
     assert min(met.values()) >= 10, met
+
+
+@pytest.mark.parametrize(
+    "d, power, torsion, lowerings, relations",
+    [(4, 1, True, 20, 8), (6, 2, False, 18, 6), (6, 2, True, 42, 12)],
+)
+def test_reduction_rotates_each_lowering_once(monkeypatch, d, power, torsion, lowerings, relations):
+    # a lowering met before is skipped before it is rotated, so the counts
+    # are the distinct joined lowerings, and the distinct generators, of
+    # the explored closure, whatever the order of exploration
+    from ncwres.parametrix import OperatorSpec
+    from ncwres.wres import wres_inverse_power
+
+    raw = wres_inverse_power(OperatorSpec(d=d, include_t=torsion), power)
+    want = ibp_reduce(raw)
+    rotate, relation = trace_module._least_rotation, ReductionSystem._relation
+    count = {"lowerings": 0, "relations": 0}
+    inside = []
+
+    def counting_rotate(w):
+        count["lowerings"] += not inside
+        return rotate(w)
+
+    def counting_relation(self, gen, axis):
+        count["relations"] += 1
+        inside.append(gen)
+        row = relation(self, gen, axis)
+        inside.pop()
+        return row
+
+    monkeypatch.setattr(trace_module, "_least_rotation", counting_rotate)
+    monkeypatch.setattr(ReductionSystem, "_relation", counting_relation)
+    assert ibp_reduce(raw) == want
+    assert count == {"lowerings": lowerings, "relations": relations}
 
 
 def test_letter_codes_order_as_keys():
@@ -544,12 +580,15 @@ def test_echelon_insert_leaves_stored_rows_alone():
     assert ech.insert({2: Fraction(2), 1: Fraction(1)}) == 2
     assert ech.insert({1: Fraction(1), 0: Fraction(3)}) == 1
     # column 1 is now a pivot, yet the earlier row still holds it
-    assert ech.rows[2] == {2: 1, 1: Fraction(1, 2)}
+    assert ech.rows[2] == {2: 2, 1: 1}
     assert ech.reduce_vector({2: Fraction(1)}) == {0: Fraction(3, 2)}
 
 
-def _sparse(rng, n_cols):
+def _sparse(rng, n_cols, rational=False):
     cols = rng.sample(range(n_cols), rng.randint(1, 4))
+    if rational:  # mixed denominators, entries other than +-1
+        nums, dens = [-9, -4, -3, 2, 5, 6], [1, 2, 3, 4, 7]
+        return {c: Fraction(rng.choice(nums), rng.choice(dens)) for c in cols}
     return {c: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for c in cols}
 
 
@@ -581,14 +620,15 @@ def _dense_reference(rows, vectors, n_cols):
     return {order[j] for j in pivots}, reduced
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(16))
 def test_echelon_matches_dense_reference_in_any_order(seed):
+    # seeds 8 and up draw rational entries
     rng = random.Random(seed)
     n_cols = 14
-    rows = [_sparse(rng, n_cols) for _ in range(9)]
+    rows = [_sparse(rng, n_cols, seed >= 8) for _ in range(9)]
     # one dependent row, so some insert reduces to zero
     rows.append({c: rows[0].get(c, 0) + 2 * rows[1].get(c, 0) for c in range(n_cols)})
-    vectors = rows + [_sparse(rng, n_cols) for _ in range(6)]
+    vectors = rows + [_sparse(rng, n_cols, seed >= 8) for _ in range(6)]
     want_pivots, want = _dense_reference(rows, vectors, n_cols)
     assert all(not v for v in want[: len(rows)])
     for _ in range(4):
@@ -598,6 +638,10 @@ def test_echelon_matches_dense_reference_in_any_order(seed):
             ech.insert(row)
         assert set(ech.rows) == want_pivots
         assert [ech.reduce_vector(v) for v in vectors] == want
+        # each stored row: coprime integers with a positive pivot entry
+        for pivot, row in ech.rows.items():
+            assert all(type(c) is int for c in row.values())
+            assert gcd(*row.values()) == 1 and row[pivot] > 0
 
 
 @pytest.mark.parametrize("include_t", [False, True])

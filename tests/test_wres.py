@@ -529,9 +529,9 @@ def test_residue_is_traced_once(monkeypatch, d, power, torsion):
     # every pair of every alpha goes into one word sum, traced once
     traced = []
 
-    def counting(p):
+    def counting(p, *pi):
         traced.append(p)
-        return trace(p)
+        return trace(p, *pi)
 
     monkeypatch.setattr(wres, "trace", counting)
     assert not wres_inverse_power(OperatorSpec(d=d, include_t=torsion), power).is_zero()
