@@ -310,7 +310,7 @@ def word_sort_key(word: Word):
 def _bump(index: tuple[int, ...], axis: int, step: int = 1) -> tuple[int, ...]:
     """``index`` with its entry at the 1-based ``axis`` moved by ``step``:
     the one step along an axis of a multi-index, whether a letter's
-    derivative, a xi exponent, a gamma or, from zero, a unit vector."""
+    derivative, a xi exponent or, from zero, a unit vector."""
     return index[: axis - 1] + (index[axis - 1] + step,) + index[axis:]
 
 

@@ -17,9 +17,10 @@ dropping total degree by exactly one.  The composition product expands
     P # Q = sum_gamma (1/gamma!) (d_xi^gamma P) . (delta^gamma Q)
 
 with the coefficients of P kept to the left.  ``gamma_pairs`` is its one
-expansion: it walks gamma depth first and yields (1/gamma!, m1, c1, m2,
-c2) for every monomial pair of d_xi^gamma P and delta^gamma Q whose degree
-lies in a band lo..hi, pruning what can no longer reach lo.  An optional
+expansion: it walks gamma depth first, holding one path of derived
+symbols at a time, and yields (1/gamma!, m1, c1, m2, c2) for every
+monomial pair of d_xi^gamma P and delta^gamma Q whose degree lies in a
+band lo..hi, pruning what can no longer reach lo.  An optional
 pair weight scales each pair and drops those it sends to 0, and then the
 walk derives no leaf of the deepest order whose pairs all weigh 0; the
 residue pass weights by sphere moments, and ``compose`` passes none,
@@ -206,28 +207,31 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None, weight=Non
     1/gamma!, times ``weight(m1, m2)`` when a weight is given; a pair of
     weight 0 is then not yielded.
 
-    Gamma is walked depth first on one stack: a child steps along an axis
-    a no larger than its parent's smallest nonzero one, so each gamma is
-    reached once, from gamma - e_a.  At |gamma| = g, p-monomials below
-    lo - maxdeg(q) and q-monomials below lo - maxdeg(p) + g can no longer
-    reach the band (d_xi lowers the degree by one, delta keeps it), so
-    both are dropped before deriving; a child left empty is not walked.
-    A child's d_xi is formed before its delta.  At the deepest order,
-    |gamma| = maxdeg(p) + maxdeg(q) - lo, a child has no children and
-    every pair it holds has degree lo, and one none of whose pairs has a
-    nonzero weight is not derived: its d_xi monomials are paired with its
-    parent's delta monomials, which hold every one of its own.
+    Gamma is walked depth first, one path at a time: a node yields its
+    pairs, then forms each child, from the top axis down, and walks the
+    child's whole subtree before it forms the next.  A child steps along
+    an axis no larger than the one its parent stepped along, so each
+    gamma is reached once, from gamma - e_a, and 1/gamma! follows from
+    the run of steps along the current axis.  At |gamma| = g, p-monomials
+    below lo - maxdeg(q) and q-monomials below lo - maxdeg(p) + g can no
+    longer reach the band (d_xi lowers the degree by one, delta keeps
+    it), so both are dropped before deriving; a child left empty is not
+    walked.  Only the current path is alive: at each yielded pair, one
+    pair of symbols per order on it, each pruned once its own pairs are
+    yielded.  A child's d_xi is formed before its delta.  At the deepest
+    order, |gamma| = maxdeg(p) + maxdeg(q) - lo, a child has no children
+    and every pair it holds has degree lo, and one none of whose pairs
+    has a nonzero weight is not derived: its d_xi monomials are paired
+    with its parent's delta monomials, which hold every one of its own.
     """
     p._check(q)
-    d = p.d
     if p.is_zero() or q.is_zero():
         return
     top_p, top_q = p.max_degree(), q.max_degree()
     p_floor, q_floor = lo - top_q, lo - top_p
     hi = top_p + top_q if hi is None else hi
-    stack = [(p.truncate_below(p_floor), q.truncate_below(q_floor), Fraction(1), (0,) * d, d)]
-    while stack:
-        dp, dq, inv, gamma, top = stack.pop()
+
+    def walk(dp, dq, inv, order, top, run):
         for m1, c1 in dp.terms.items():
             d1 = m1.degree
             for m2, c2 in dq.terms.items():
@@ -237,12 +241,11 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None, weight=Non
                     yield inv, m1, c1, m2, c2
                 elif w := weight(m1, m2):
                     yield inv * w, m1, c1, m2, c2
-        order = sum(gamma)
         leaf = weight is not None and order + 1 == top_p + top_q - lo
         # d_xi lowers every degree by one, so cut before deriving
         dp = dp.truncate_below(p_floor + 1)
         dq = dq.truncate_below(q_floor + order + 1)
-        for axis in range(1, top + 1):
+        for axis in range(top, 0, -1):
             child_p = dp.partial_xi(axis)
             if child_p.is_zero():
                 continue
@@ -251,8 +254,15 @@ def gamma_pairs(p: Symbol, q: Symbol, lo: int, hi: int | None = None, weight=Non
             child_q = dq.derive(axis)
             if child_q.is_zero():
                 continue
-            k = gamma[axis - 1] + 1
-            stack.append((child_p, child_q, inv / k, _bump(gamma, axis), axis))
+            # axes never increase along a path, so gamma's entry at axis
+            # is the run along it when the parent stepped along it, else 0
+            k = run + 1 if axis == top else 1
+            child = walk(child_p, child_q, inv / k, order + 1, axis, k)
+            # only the child's frame holds them now, so they go once it prunes them
+            del child_p, child_q
+            yield from child
+
+    yield from walk(p.truncate_below(p_floor), q.truncate_below(q_floor), Fraction(1), 0, p.d, 0)
 
 
 def compose(p: Symbol, q: Symbol, lo: int, hi: int | None = None) -> Symbol:

@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import Counter
 from fractions import Fraction
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncwres import randgen
-from ncwres.ncalg import Algebra, NCPoly, Scalar
-from ncwres.parametrix import OperatorSpec, laplace_symbol, parametrix_terms
+from ncwres.ncalg import Algebra, NCPoly, Scalar, _bump
+from ncwres.parametrix import OperatorSpec, laplace_symbol, parametrix_series, parametrix_terms
 from ncwres.symcalc import (
     Symbol,
     XiMonomial,
+    _gamma_factorial,
     compose,
     expand_norm,
     format_xi_monomial,
@@ -302,15 +304,49 @@ def _reference_pairs(p, q, lo, hi):
                     yield inv, m1, c1, m2, c2
 
 
+def _depth_first_pairs(p, q, lo, hi, weight=None):
+    # every gamma up to the last level that can still reach lo, visited
+    # depth first with the top axis first (a child steps along an axis no
+    # larger than its parent's last), each derived from scratch from the
+    # top axis down; the band and the weight are applied afterwards
+    hi = p.max_degree() + q.max_degree() if hi is None else hi
+    deepest = p.max_degree() + q.max_degree() - lo
+
+    def visit(gamma, top):
+        yield gamma
+        if sum(gamma) < deepest:
+            for axis in range(top, 0, -1):
+                yield from visit(_bump(gamma, axis), axis)
+
+    for gamma in visit((0,) * p.d, p.d):
+        dp, dq = p, q
+        for axis in range(p.d, 0, -1):
+            for _ in range(gamma[axis - 1]):
+                dp, dq = dp.partial_xi(axis), dq.derive(axis)
+        inv = Fraction(1, _gamma_factorial(gamma))
+        for m1, c1 in dp.terms.items():
+            for m2, c2 in dq.terms.items():
+                if not lo <= m1.degree + m2.degree <= hi:
+                    continue
+                w = 1 if weight is None else weight(m1, m2)
+                if w:
+                    yield inv * w, m1, c1, m2, c2
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_gamma_pairs_match_the_full_gamma_sum(seed):
+    # the same pairs as every gamma derived from scratch, and in the order
+    # of a depth-first visit of gamma, top axis first: the order fixes
+    # every dict order downstream
     rng = np.random.default_rng(seed)
     p, q = _mixed_symbol(rng, 1), _mixed_symbol(rng, 0)
     for left, right in ((p, q), (q, p)):
         for lo, hi in ((-3, None), (-3, -2), (-2, -2)):
             want = _pair_multiset(_reference_pairs(left, right, lo, hi))
             assert want
-            assert _pair_multiset(gamma_pairs(left, right, lo, hi)) == want
+            yielded = list(gamma_pairs(left, right, lo, hi))
+            assert _pair_multiset(yielded) == want
+            assert yielded == list(_depth_first_pairs(left, right, lo, hi))
 
 
 def _even_weight(m1, m2):
@@ -337,7 +373,9 @@ def test_weighted_gamma_pairs_are_the_nonzero_weighted_pairs(seed, monkeypatch):
                 for inv, m1, c1, m2, c2 in pairs
                 if _even_weight(m1, m2)
             )
-            assert want and _pair_multiset(gamma_pairs(left, right, lo, hi, _even_weight)) == want
+            yielded = list(gamma_pairs(left, right, lo, hi, _even_weight))
+            assert want and _pair_multiset(yielded) == want
+            assert yielded == list(_depth_first_pairs(left, right, lo, hi, _even_weight))
             monkeypatch.setattr(NCPoly, "derive", lambda s, axis: calls.append(axis) or real(s, axis))
             for weight in (lambda m1, m2: 0, None):
                 calls.clear()
@@ -346,6 +384,39 @@ def test_weighted_gamma_pairs_are_the_nonzero_weighted_pairs(seed, monkeypatch):
                 derives[weight is None] += len(calls)
             monkeypatch.undo()
     assert derives[False] < derives[True]
+
+
+def _live_symbols() -> int:
+    return list(map(type, gc.get_objects())).count(Symbol)
+
+
+@pytest.mark.parametrize(
+    "d, n, lo, with_head",
+    [
+        (4, 1, -4, False),
+        (6, 1, -6, True),
+        (6, 3, -4, False),
+    ],
+)
+def test_gamma_walk_keeps_one_path_alive(d, n, lo, with_head):
+    # the head b_0 + ... + b_n walked against a, or against itself as the
+    # residue's first read does: at each yielded pair, the walk holds
+    # the symbols of the current gamma path only, one pair per order from
+    # 0 to the deepest, so no sibling waits on a stack and no node keeps
+    # its child's unpruned copy
+    a = laplace_symbol(OperatorSpec(d=d, include_t=True))
+    head = sum(parametrix_series(a, n), Symbol.zero(d))
+    right = head if with_head else a
+    deepest = head.max_degree() + right.max_degree() - lo
+    before, most, node = _live_symbols(), 0, None
+    for c, *_ in gamma_pairs(head, right, lo):
+        # no symbol is made or freed while a node yields its pairs, and
+        # each node yields its own 1/gamma! object, so the count is read
+        # at each node's first pair
+        if c is not node:
+            node = c
+            most = max(most, _live_symbols() - before)
+    assert most <= 2 * (deepest + 1)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
